@@ -60,7 +60,14 @@ class ParamContext:
 
 
 def make_context(kappa, kappa_prime=0, nvars: int = 3) -> ParamContext:
-    """Build an immutable context; requires kappa, kappa_prime >= 0, nvars >= 2."""
+    """Build an immutable context; requires kappa, kappa_prime >= 0, nvars >= 2.
+
+    The parameters may be ints, Fractions or exact strings such as "0.1";
+    binary floats are refused, since 0.1 would silently become
+    3602879701896397/2^55.
+    """
+    if isinstance(kappa, float) or isinstance(kappa_prime, float):
+        raise ValueError("parameters must be exact (int, Fraction or string), not float")
     k = Fraction(kappa)
     kp = Fraction(kappa_prime)
     if k < 0 or kp < 0:

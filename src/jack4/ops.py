@@ -186,19 +186,22 @@ def dunkl_d0(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 
 
 def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """Dunkl operator D'_i of the extended reflection group, in the x4 frame."""
+    """Dunkl operator D'_i of the extended reflection group, in the x4 frame.
+
+    The sign-change part goes through y4 once: f - f sigma_0 is twice the
+    part of to_y(f) odd in y_0, which is divided by y_0 termwise there and
+    brought back by one to_x.
+    """
     if f.frame != "x4":
         raise ValueError(f"dunkl_prime needs the x4 frame, got {f.frame!r}")
     out = dunkl_a(i, f, ctx)
     if ctx.kappa_prime:
-        diff = to_y(f - f.sign_change(0))
-        acc = {}
-        for exp, c in diff.terms.items():
-            # every term of f - f sigma_0 is odd in y_0
-            if exp[0] % 2 == 0:
-                raise AssertionError("sigma_0 difference not odd in y_0")
-            _add(acc, (exp[0] - 1,) + exp[1:], c * ctx.kappa_prime / 2)
-        out = out + to_x(SparsePoly(4, Y4, acc))
+        odd = {
+            (exp[0] - 1,) + exp[1:]: c * ctx.kappa_prime
+            for exp, c in to_y(f).terms.items()
+            if exp[0] % 2
+        }
+        out = out + to_x(SparsePoly(4, Y4, odd))
     return out
 
 

@@ -11,6 +11,11 @@ half-Hadamard orthonormal coordinates y_0..y_3).  Frames:
 * ``"y0"``  -- the single variable y_0;
 * ``"t"``   -- a scratch univariate frame (Laguerre argument).
 
+The x4 <-> y4 change of coordinates is exact.  The half-Hadamard matrix is
+H2 (x) H2 with y_1 and y_2 swapped, so :func:`to_y` and :func:`to_x` run as
+a fast Walsh-Hadamard transform on exponents: two stages of pairwise
+binomial butterflies, a swap, and a factor 2^-deg per monomial.
+
 Values are immutable by convention: every operation allocates a new
 polynomial, and term dictionaries are kept in descending canonical monomial
 order so iteration, solving, and serialization are reproducible.
@@ -18,6 +23,7 @@ order so iteration, solving, and serialization are reproducible.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import combin
@@ -32,6 +38,8 @@ _FIXED_FRAME_NVARS = {Y4: 4, Y3: 3, Y0: 1, "t": 1}
 
 # Rows of the half-Hadamard matrix: y_i = <x, v_i> with v_i = _HADAMARD[i] / 2.
 # The matrix is symmetric and orthogonal, hence an involution: x = y M as well.
+# It is H2 (x) H2 with rows 1 and 2 swapped (H2 = [[1, 1], [1, -1]]), which is
+# what lets :func:`to_y` and :func:`to_x` run as pairwise butterflies.
 _HADAMARD = (
     (1, 1, 1, 1),
     (1, 1, -1, -1),
@@ -233,27 +241,14 @@ class SparsePoly:
         """Negate the coordinate y_i.
 
         In the y-frames this flips the sign of terms odd in y_i.  In an
-        x-frame only i = 0 is meaningful and acts by the affine substitution
-        x_j -> x_j - (x_1 + ... + x_4)/2, which realizes the reflection along
-        the all-ones direction.
+        x-frame only i = 0 is meaningful: it is the reflection along the
+        all-ones direction, x_j -> x_j - (x_1 + ... + x_4)/2, computed by
+        going to y4, flipping the terms odd in y_0, and coming back.
         """
         if is_x_frame(self.frame):
             if i != 0 or self.nvars != 4:
                 raise ValueError("only the y0 sign change exists in the x4 frame")
-            # x_j -> x_j - (x_1 + x_2 + x_3 + x_4)/2
-            half = Fraction(1, 2)
-            forms = [
-                SparsePoly(
-                    4,
-                    self.frame,
-                    {
-                        tuple(1 if v == m else 0 for v in range(4)): (1 if m == j else 0) - half
-                        for m in range(4)
-                    },
-                )
-                for j in range(4)
-            ]
-            return substitute_linear(self, forms)
+            return _hadamard_change(_hadamard_change(self, Y4).sign_change(0), X4)
         if self.frame == Y4:
             pos = i
             if not 0 <= pos <= 3:
@@ -317,7 +312,12 @@ class SparsePoly:
 
 
 def substitute_linear(f: SparsePoly, forms: list[SparsePoly]) -> SparsePoly:
-    """Substitute variable i -> forms[i]; all forms share one target frame."""
+    """Substitute variable i -> forms[i]; all forms share one target frame.
+
+    It expands products of powers of the forms, so it is slow on dense forms;
+    the tests use it with :func:`_hadamard_forms` as the reference for
+    :func:`to_y`, :func:`to_x` and the x4 ``sign_change(0)``.
+    """
     if len(forms) != f.nvars:
         raise ValueError("need one form per variable")
     target = forms[0]
@@ -351,18 +351,66 @@ def _hadamard_forms(src_frame: str, dst_frame: str) -> list[SparsePoly]:
     return forms
 
 
+def _pair_weights(a: int, b: int) -> list[int]:
+    """Coefficients of t^k in (1 + t)^a (1 - t)^b, k = 0..a+b."""
+    w = [1]
+    for _ in range(a):
+        w = [p + q for p, q in zip(w + [0], [0] + w)]
+    for _ in range(b):
+        w = [p - q for p, q in zip(w + [0], [0] + w)]
+    return w
+
+
+def _hadamard_change(f: SparsePoly, dst_frame: str) -> SparsePoly:
+    """f(H z / 2) in the frame ``dst_frame``, H = _HADAMARD, as a fast
+    Walsh-Hadamard transform on exponents.
+
+    With H = (H2 (x) H2) P, P swapping coordinates 1 and 2, the substitution
+    is two butterfly stages -- v_p -> z_p + z_q, v_q -> z_p - z_q on the
+    pairs (0, 1), (2, 3) and then (0, 2), (1, 3) -- a swap of the exponents
+    of z_1 and z_2, and a factor 2^-deg per monomial.  The stages run on
+    integer numerators over a common denominator, so each output coefficient
+    costs one Fraction at the end.
+    """
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    terms = {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+    weights: dict[tuple[int, int], list[int]] = {}
+    for p, q in ((0, 1), (2, 3), (0, 2), (1, 3)):
+        out: dict[tuple[int, ...], int] = {}
+        for exp, n in terms.items():
+            if not n:
+                continue
+            a, b = exp[p], exp[q]
+            w = weights.get((a, b))
+            if w is None:
+                w = weights[a, b] = _pair_weights(a, b)
+            e = list(exp)
+            for k, wk in enumerate(w):
+                if wk:
+                    e[p] = a + b - k
+                    e[q] = k
+                    t = tuple(e)
+                    out[t] = out.get(t, 0) + n * wk
+        terms = out
+    return SparsePoly(
+        4,
+        dst_frame,
+        {(e[0], e[2], e[1], e[3]): Fraction(n, den << sum(e)) for e, n in terms.items() if n},
+    )
+
+
 def to_y(f: SparsePoly) -> SparsePoly:
     """Rewrite an x4 polynomial in the y-coordinates (exact linear isometry)."""
     if f.frame != X4:
         raise ValueError("to_y expects the x4 frame")
-    return substitute_linear(f, _hadamard_forms(X4, Y4))
+    return _hadamard_change(f, Y4)
 
 
 def to_x(f: SparsePoly) -> SparsePoly:
     """Inverse of :func:`to_y`; the coordinate matrix is an involution."""
     if f.frame != Y4:
         raise ValueError("to_x expects the y4 frame")
-    return substitute_linear(f, _hadamard_forms(Y4, X4))
+    return _hadamard_change(f, X4)
 
 
 def substitute_squares(f: SparsePoly) -> SparsePoly:

@@ -66,9 +66,16 @@ def _params(ctx: ParamContext) -> dict:
     }
 
 
+def _require_max_degree(max_degree: int) -> None:
+    """A negative degree would check or list nothing, and pass vacuously."""
+    if max_degree < 0:
+        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
+
+
 def basis_labels_up_to(max_degree: int) -> list[BasisLabel]:
     """All labels (gamma, n) with |gamma| + n <= max_degree, in the canonical
     output order (total degree, then gamma, then n)."""
+    _require_max_degree(max_degree)
     labels = []
     for n in range(max_degree + 1):
         for gamma in combin.compositions_up_to(max_degree - n, 3):
@@ -251,4 +258,5 @@ SUITES = {
 def run_suite(name: str, ctx: ParamContext, max_degree: int) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    _require_max_degree(max_degree)
     return SUITES[name](ctx, max_degree)

@@ -145,6 +145,15 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_negative_max_degree_fails_loudly(capsys):
+    for argv in (("verify", "--suite", "prop1", "--max-degree", "-3"),
+                 ("norm-table", "--max-degree", "-1"),
+                 ("spectrum", "--max-degree", "-1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "max degree must be nonnegative" in err
+
+
 def test_mc_check_small(capsys):
     code, out, _ = run(capsys, "mc-check", "--kappa", "1", "--kappa-prime", "0.5",
                        "--samples", "50000", "--seed", "20080824")

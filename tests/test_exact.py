@@ -66,6 +66,14 @@ def test_make_context():
         make_context(1, 0, 1)
 
 
+def test_make_context_refuses_floats():
+    for args in ((0.1, 0), (1, 0.5), (Fraction(1, 2), 2.0)):
+        with pytest.raises(ValueError, match="float"):
+            make_context(*args, 3)
+    ctx = make_context("0.1", "1/2", 3)
+    assert ctx.kappa == Fraction(1, 10) and ctx.kappa_prime == Fraction(1, 2)
+
+
 def test_context_is_immutable_and_hashable():
     ctx = make_context(1, 0, 3)
     with pytest.raises(AttributeError):

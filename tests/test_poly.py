@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jack4 import combin
+from jack4.ops import dunkl_a, dunkl_prime
 from jack4.poly import (
     SparsePoly,
+    _hadamard_forms,
     embed_y0,
     embed_y3,
     poly_from_json,
@@ -203,6 +205,72 @@ def test_to_y_roundtrip():
         assert to_x(to_y(f)) == f
     g = SparsePoly.monomial((0, 2, 1, 0), "y4", Fraction(3, 7))
     assert to_y(to_x(g)) == g
+
+
+def random_poly4(rng, frame, max_deg=6, terms=6):
+    """Sparse, generally non-homogeneous, total degree <= max_deg."""
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        d = rng.randint(0, max_deg)
+        cuts = sorted(rng.randint(0, d) for _ in range(3))
+        exp = (cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], d - cuts[2])
+        out[exp] = Fraction(rng.randint(-30, 30), rng.randint(1, 40))
+    return SparsePoly(4, frame, out)
+
+
+def oracle_sign_change_x4(f):
+    """sigma_0 in x4 as the affine substitution x_j -> x_j - (x_1 + ... + x_4)/2."""
+    forms = [
+        SparsePoly(4, "x4", {tuple(int(v == m) for v in range(4)): int(m == j) - Fraction(1, 2)
+                             for m in range(4)})
+        for j in range(4)
+    ]
+    return substitute_linear(f, forms)
+
+
+def oracle_dunkl_prime(i, f, ctx):
+    """D'_i through sign_change(0), to_y and to_x, all by linear substitution."""
+    out = dunkl_a(i, f, ctx)
+    if ctx.kappa_prime:
+        diff = substitute_linear(f - oracle_sign_change_x4(f), _hadamard_forms("x4", "y4"))
+        acc = {}
+        for exp, c in diff.terms.items():
+            assert exp[0] % 2 == 1
+            acc[(exp[0] - 1,) + exp[1:]] = c * ctx.kappa_prime / 2
+        out = out + substitute_linear(SparsePoly(4, "y4", acc), _hadamard_forms("y4", "x4"))
+    return out
+
+
+def test_butterfly_matches_substitution():
+    rng = random.Random(20081201)
+    for _ in range(40):
+        for frame, fast, dst in (("x4", to_y, "y4"), ("y4", to_x, "x4")):
+            f = random_poly4(rng, frame)
+            expected = substitute_linear(f, _hadamard_forms(frame, dst))
+            got = fast(f)
+            assert got == expected
+            assert list(got.terms) == list(expected.terms)
+
+
+def test_x4_sign_change_matches_affine_substitution():
+    rng = random.Random(20081202)
+    for _ in range(30):
+        f = random_poly4(rng, "x4")
+        expected = oracle_sign_change_x4(f)
+        got = f.sign_change(0)
+        assert got == expected
+        assert list(got.terms) == list(expected.terms)
+
+
+def test_dunkl_prime_matches_substitution_route(ctx_each_pair):
+    rng = random.Random(20081203)
+    for _ in range(6):
+        f = random_poly4(rng, "x4", max_deg=4, terms=4)
+        for i in (1, 2, 3, 4):
+            got = dunkl_prime(i, f, ctx_each_pair)
+            expected = oracle_dunkl_prime(i, f, ctx_each_pair)
+            assert got == expected
+            assert list(got.terms) == list(expected.terms)
 
 
 def test_substitute_squares():
