@@ -90,15 +90,25 @@ def _eval_compiled(compiled, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weighted_product(weight: np.ndarray, cf, cg, x: np.ndarray) -> np.ndarray:
+    """weight * f(x) * g(x), with f evaluated only once when g is f.  The
+    evaluated arrays die with this frame, before the next batch is drawn."""
+    if cg is cf:
+        v = _eval_compiled(cf, x)
+        return weight * v * v
+    return weight * _eval_compiled(cf, x) * _eval_compiled(cg, x)
+
+
 def mc_inner_product(f: SparsePoly, g: SparsePoly, cfg: McConfig) -> tuple[float, float]:
     """Monte Carlo estimate of the integral of f*g against dmu.
 
     Samples x from the standard Gaussian and reweights by c * h(x)^2; returns
     (estimate, standard_error).  Batches use seeds derived from (seed, batch
     index), so the result is reproducible and independent of scheduling.
+    When g is f, the polynomial is compiled and evaluated once per batch.
     """
     cf = _compile(_as_x_frame(f))
-    cg = _compile(_as_x_frame(g))
+    cg = cf if g is f else _compile(_as_x_frame(g))
     c = normalization_constant(cfg.kappa, cfg.kappa_prime)
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
@@ -118,7 +128,7 @@ def mc_inner_product(f: SparsePoly, g: SparsePoly, cfg: McConfig) -> tuple[float
                 weight *= np.abs(x[:, i] - x[:, j]) ** (2 * cfg.kappa)
         if cfg.kappa_prime:
             weight *= np.abs(0.5 * x.sum(axis=1)) ** (2 * cfg.kappa_prime)
-        vals = weight * _eval_compiled(cf, x) * _eval_compiled(cg, x)
+        vals = _weighted_product(weight, cf, cg, x)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         done += m

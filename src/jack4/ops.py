@@ -5,13 +5,18 @@ The type-A family acts in an x-frame on N variables:
     D_i f = df/dx_i + kappa * sum_{j != i} (f - (i j) f) / (x_i - x_j),
     U_i f = D_i(x_i f) - kappa * sum_{j < i} (j i) f.
 
-The hyperoctahedral family acts on (y_1, y_2, y_3) (frames y3 or y4, the y_0
+The type-D3 family acts on (y_1, y_2, y_3) (frames y3 or y4, the y_0
 coordinate being inert), with sigma_ij / tau_ij the reflections fixing
 y_i - y_j = 0 and y_i + y_j = 0:
 
     DB_i f = df/dy_i + kappa * sum_{j != i} [ (f - f sigma_ij)/(y_i - y_j)
                                             + (f - f tau_ij)/(y_i + y_j) ],
     UB_i f = DB_i(y_i f) - kappa * sum_{j < i} (sigma_ij + tau_ij) f.
+
+Its roots are the long roots +-y_i +-y_j only; there is no short-root
+(y_i -> -y_i) term, so this is the root system D3 = A3, not the
+hyperoctahedral B3.  In the half-Hadamard coordinates the S4 roots x_i - x_j
+are exactly +-y_i +-y_j, so DB_i is the type-A operator in other coordinates.
 
 The y_0 direction carries its own operator weighted by kappa_prime:
 
@@ -109,7 +114,7 @@ def cherednik_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     return out
 
 
-# ---------------------------------------------------------------------- type B on (y1, y2, y3)
+# ---------------------------------------------------------------------- type D3 on (y1, y2, y3)
 
 
 def _b_position(frame: str, i: int) -> int:
@@ -129,7 +134,7 @@ def _b_partners(frame: str, p: int) -> list[int]:
 
 
 def dunkl_b(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """Hyperoctahedral Dunkl operator DB_i on y3 (or slicewise on y4)."""
+    """Type-D3 Dunkl operator DB_i on y3 (or slicewise on y4): roots y_i +- y_j only."""
     p = _b_position(f.frame, i)
     k = ctx.kappa
     acc: dict = {}
@@ -158,7 +163,7 @@ def _tau_reflect(f: SparsePoly, p: int, q: int) -> SparsePoly:
 
 
 def cherednik_b(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """Hyperoctahedral Cherednik operator UB_i; the UB_i commute pairwise."""
+    """Type-D3 Cherednik operator UB_i; the UB_i commute pairwise."""
     p = _b_position(f.frame, i)
     out = dunkl_b(i, SparsePoly.variable(p, f.nvars, f.frame) * f, ctx)
     for j in range(1, i):
@@ -251,35 +256,38 @@ def euler(f: SparsePoly) -> SparsePoly:
 
 # ---------------------------------------------------------------------- pairings
 
-# Cache of monomial pairings keyed by (frame, nvars, kappa, a, b); entries are
-# only ever written with one deterministic value, so concurrent get-or-compute
-# is harmless.
+# Per-(frame, nvars, kappa) memos: _MONO_PAIR_CACHE maps each key to a dict
+# {(a, b): <x^a, x^b>_kappa}, _DUNKL_MONO_CACHE to a dict {(p, b): terms of
+# D_{p+1} x^b}.  Entries are only ever written with one deterministic value,
+# so concurrent get-or-compute is harmless.
 _MONO_PAIR_CACHE: dict = {}
+_DUNKL_MONO_CACHE: dict = {}
 _D0_PAIR_CACHE: dict = {}
 
 
-def _apply_power(op_index: int, power: int, g: SparsePoly, ctx: ParamContext, dunkl) -> SparsePoly:
-    for _ in range(power):
-        if g.is_zero():
-            break
-        g = dunkl(op_index, g, ctx)
-    return g
-
-
-def _monomial_pairing(frame: str, nvars: int, ctx: ParamContext, a, b) -> Rat:
-    key = (frame, nvars, ctx.kappa, a, b)
-    cached = _MONO_PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    dunkl = dunkl_a if is_x_frame(frame) else dunkl_b
-    g = SparsePoly.monomial(b, frame)
-    for pos, power in enumerate(a):
-        if power:
-            g = _apply_power(pos + 1, power, g, ctx, dunkl)
-            if g.is_zero():
-                break
-    value = g.constant_term()
-    _MONO_PAIR_CACHE[key] = value
+def _monomial_pairing(
+    pairs: dict, images: dict, dunkl, frame: str, ctx: ParamContext, a, b
+) -> Rat:
+    """<x^a, x^b>_kappa for |a| = |b| by <x^a, x^b> = <x^(a - e_p), D_{p+1} x^b>,
+    p the first position with a_p > 0; the D_i commute, so any p gives the
+    same value.  D_{p+1} lowers the degree by one, so |a| = |b| holds all the
+    way down to <1, 1> = 1."""
+    key = (a, b)
+    value = pairs.get(key)
+    if value is not None:
+        return value
+    p = next((q for q, e in enumerate(a) if e), None)
+    if p is None:
+        value = Fraction(1)
+    else:
+        image = images.get((p, b))
+        if image is None:
+            image = images[(p, b)] = dunkl(p + 1, SparsePoly.monomial(b, frame), ctx).terms
+        lower = a[:p] + (a[p] - 1,) + a[p + 1:]
+        value = Fraction(0)
+        for c, coef in image.items():
+            value += coef * _monomial_pairing(pairs, images, dunkl, frame, ctx, lower, c)
+    pairs[key] = value
     return value
 
 
@@ -287,19 +295,32 @@ def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     """<f, g>_kappa = f(D_1, ..., D_N) g evaluated at the origin.
 
     In an x-frame the D_i are the type-A Dunkl operators; in the y3 frame the
-    DB_i take their place.
+    DB_i take their place.  Only monomials of equal degree pair nonzero, and
+    each monomial pairing peels one operator at a time,
+
+        <x^a, x^b> = <x^(a - e_i), D_i x^b>,   i the first index with a_i > 0,
+
+    so a pairing of degree d is a sum over the terms of one D_i x^b of
+    pairings of degree d - 1.  Both the one-step images D_i x^b and every
+    pairing met on the way are memoized per (frame, nvars, kappa), so each
+    sub-pairing is computed once and shared by all later pairings at the
+    same kappa.
     """
     if f.frame != g.frame or f.nvars != g.nvars:
         raise ValueError("pairing needs matching frames")
     if not (is_x_frame(f.frame) or f.frame == Y3):
         raise ValueError(f"pairing_kappa is defined on x frames and y3, got {f.frame!r}")
+    key = (f.frame, f.nvars, ctx.kappa)
+    pairs = _MONO_PAIR_CACHE.setdefault(key, {})
+    images = _DUNKL_MONO_CACHE.setdefault(key, {})
+    dunkl = dunkl_a if is_x_frame(f.frame) else dunkl_b
+    g_by_degree: dict = {}
+    for eb, cb in g.terms.items():
+        g_by_degree.setdefault(sum(eb), []).append((eb, cb))
     total = Fraction(0)
     for ea, ca in f.terms.items():
-        da = sum(ea)
-        for eb, cb in g.terms.items():
-            if sum(eb) != da:
-                continue  # a Dunkl string of length |a| kills or overshoots x^b
-            total += ca * cb * _monomial_pairing(f.frame, f.nvars, ctx, ea, eb)
+        for eb, cb in g_by_degree.get(sum(ea), ()):
+            total += ca * cb * _monomial_pairing(pairs, images, dunkl, f.frame, ctx, ea, eb)
     return total
 
 

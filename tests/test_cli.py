@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from jack4.cli import main
 
@@ -165,3 +168,28 @@ def test_mc_check_small(capsys):
     assert "<1,1>" in names
     for c in data["checks"]:
         assert c["samples"] == 50000 and c["seed"] == 20080824
+
+
+# sha256 of stdout for a few commands at their default parameters.  A change
+# that only makes the program faster must leave these bytes as they are.
+GOLDEN_STDOUT = {
+    ("verify", "--suite", "f1-norm", "--max-degree", "4"):
+        "968465e7d8d284a9615b2c5bd661f822c4e61920f706c0628bf0ea2db1160c4c",
+    ("verify", "--suite", "prop2", "--max-degree", "3"):
+        "96503e1d14573a8756bac992c0cd2f2fb9da0fc803f3aade52a9c6b2bb56ded5",
+    ("spectrum", "--max-degree", "4"):
+        "a38735338744800bad9c54422590f24aef0ae67b5ff825a0b85a3d09321a40af",
+    ("spectrum", "--max-degree", "4", "--format", "csv"):
+        "bcbdfece46ed68ec54268dedbd12f8a377d837ffec4e69fdaec785feb0a0a2d4",
+    ("norm-table", "--max-degree", "3"):
+        "f6fc3141fd4942c22d9636f14ddb7eeeff9a744f41d5d1a7b4b7b31aaa8099fb",
+    ("mc-check", "--samples", "20000"):
+        "97dd1cd3f8076eabdcbb7f67251e40220f655e11c34decc6ca0d9874308eaefb",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_golden_stdout(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

@@ -57,6 +57,15 @@ def test_mc_deterministic_and_seed_sensitive():
     assert est3 != est1
 
 
+def test_mc_same_polynomial_twice_matches_a_copy():
+    ctx = make_context(1, Fraction(1, 2), 3)
+    f = hermite_basis(BasisLabel((2, 0, 0), 0), ctx).poly
+    copy = SparsePoly(f.nvars, f.frame, dict(f.terms))
+    assert copy is not f and copy == f
+    cfg = McConfig(20000, 20080824, 1.0, 0.5)
+    assert mc_inner_product(f, f, cfg) == mc_inner_product(f, copy, cfg)
+
+
 def test_mc_total_mass():
     one = SparsePoly.one(4, "x4")
     cfg = McConfig(200000, 20080824, 1.0, 0.5)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from jack4 import combin
+from jack4 import combin, ops
 from jack4.exact import make_context
 from jack4.ops import (
     _swap_quotient,
@@ -348,6 +348,68 @@ def test_pairing_kappa_examples(ctx_each_kappa):
     assert pairing_kappa(xvar(1), xvar(2), ctx) == -k
     assert pairing_kappa(xvar(1), xvar(1), ctx) == 1 + 2 * k
     assert pairing_kappa(yvar(1), yvar(1), ctx) == 1 + 4 * k
+
+
+def pairing_kappa_by_strings(f, g, ctx):
+    """Reference route: apply the whole Dunkl string D^a to x^b for every pair
+    of monomials, then take the constant term."""
+    dunkl = dunkl_b if f.frame == "y3" else dunkl_a
+    total = Fraction(0)
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            h = SparsePoly.monomial(eb, g.frame)
+            for pos, power in enumerate(ea):
+                for _ in range(power):
+                    h = dunkl(pos + 1, h, ctx)
+            total += ca * cb * h.constant_term()
+    return total
+
+
+def clear_pairing_caches():
+    for name, value in vars(ops).items():
+        if name.endswith("_CACHE"):
+            value.clear()
+
+
+def test_pairing_kappa_matches_dunkl_strings_on_monomials(ctx_each_kappa):
+    ctx = ctx_each_kappa
+    for frame in ("x3", "y3"):
+        pairs = [
+            (SparsePoly.monomial(a, frame), SparsePoly.monomial(b, frame))
+            for d in range(6)
+            for a in combin.compositions_of_weight(d, 3)
+            for b in combin.compositions_of_weight(d, 3)
+        ]
+        expected = [pairing_kappa_by_strings(f, g, ctx) for f, g in pairs]
+        clear_pairing_caches()
+        # cold: the highest degree first, so its memo is filled from nothing
+        cold = [pairing_kappa(f, g, ctx) for f, g in reversed(pairs)][::-1]
+        warm = [pairing_kappa(f, g, ctx) for f, g in pairs]
+        assert cold == expected
+        assert warm == expected
+
+
+def test_pairing_kappa_matches_dunkl_strings_on_sparse_polys():
+    rng = random.Random(4711)
+
+    def sparse_poly(frame):
+        terms = {
+            tuple(rng.randint(0, 2) for _ in range(3)):
+                Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            for _ in range(rng.randint(1, 5))
+        }
+        return SparsePoly(3, frame, terms)
+
+    polys = [
+        (sparse_poly(frame), sparse_poly(frame)) for frame in ("x3", "y3") for _ in range(30)
+    ]
+    clear_pairing_caches()
+    # the caches stay warm from one kappa to the next
+    for kappa in KAPPAS:
+        ctx = make_context(kappa, 0, 3)
+        expected = [pairing_kappa_by_strings(f, g, ctx) for f, g in polys]
+        assert [pairing_kappa(f, g, ctx) for f, g in polys] == expected
+        assert [pairing_kappa(f, g, ctx) for f, g in polys] == expected
 
 
 def test_pairing_symmetry_invariance_positivity():
