@@ -19,7 +19,7 @@ from .hermite_cs import (
     cs_invariant_eigenfunction,
     cs_invariant_energy,
     energy_level,
-    exp_neg_half_laplacian,
+    exp_half_laplacian,
     hermite_basis,
     laguerre,
     operator_identities_check,

@@ -139,10 +139,6 @@ def _poly_csv_rows(f) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _label_list(max_degree: int) -> list[BasisLabel]:
-    return verify.basis_labels_up_to(max_degree)
-
-
 def _cmd_nsjp(args) -> int:
     alpha = args.alpha
     nvars = args.nvars if args.nvars is not None else len(alpha)
@@ -183,8 +179,7 @@ def _cmd_basis(args) -> int:
         payload = {
             "lambda": list(args.lam),
             "s": args.s,
-            "kappa": format_rational(ctx.kappa),
-            "kappa_prime": format_rational(ctx.kappa_prime),
+            **verify._params(ctx),
             "poly": poly_to_json(rec.poly),
             "a_lambda": format_rational(rec.a_lambda),
             "formula_norm": format_rational(rec.formula_norm),
@@ -201,8 +196,7 @@ def _cmd_basis(args) -> int:
     payload = {
         "gamma": list(args.gamma),
         "n": args.n,
-        "kappa": format_rational(ctx.kappa),
-        "kappa_prime": format_rational(ctx.kappa_prime),
+        **verify._params(ctx),
         "decomposition": {
             "odd_set": list(d.odd_set),
             "w": [i + 1 for i in d.w],
@@ -226,8 +220,7 @@ def _cmd_hermite(args) -> int:
             "lambda": list(args.lam),
             "s": args.s,
             "n": args.n,
-            "kappa": format_rational(ctx.kappa),
-            "kappa_prime": format_rational(ctx.kappa_prime),
+            **verify._params(ctx),
             "poly": poly_to_json(f),
             "energy": format_rational(cs_invariant_energy(args.lam, args.s, args.n, ctx)),
         }
@@ -240,8 +233,7 @@ def _cmd_hermite(args) -> int:
     payload = {
         "gamma": list(args.gamma),
         "n": args.n,
-        "kappa": format_rational(ctx.kappa),
-        "kappa_prime": format_rational(ctx.kappa_prime),
+        **verify._params(ctx),
         "poly": poly_to_json(rec.poly),
         "energy": format_rational(rec.energy),
     }
@@ -249,60 +241,36 @@ def _cmd_hermite(args) -> int:
     return 0
 
 
-def _cmd_norm_table(args) -> int:
+def _label_table(args, column: str, value) -> int:
+    """One row per basis label up to --max-degree, with value(label, ctx) in ``column``."""
     ctx, err = _make_ctx4(args)
     if err:
         return err
-    rows = []
-    for label in _label_list(args.max_degree):
-        rows.append(
-            {
-                "gamma": list(label.gamma),
-                "n": label.n,
-                "degree": combin.weight(label.gamma) + label.n,
-                "norm": format_rational(basis_norm(label, ctx)),
-            }
-        )
-    payload = {
-        "kappa": format_rational(ctx.kappa),
-        "kappa_prime": format_rational(ctx.kappa_prime),
-        "rows": rows,
-    }
+    rows = [
+        {
+            "gamma": list(label.gamma),
+            "n": label.n,
+            "degree": combin.weight(label.gamma) + label.n,
+            column: format_rational(value(label, ctx)),
+        }
+        for label in verify.basis_labels_up_to(args.max_degree)
+    ]
+    payload = {**verify._params(ctx), "rows": rows}
     csv_rows = (
-        ["gamma", "n", "degree", "norm"],
-        [[",".join(str(g) for g in r["gamma"]), str(r["n"]), str(r["degree"]), r["norm"]]
+        ["gamma", "n", "degree", column],
+        [[",".join(str(g) for g in r["gamma"]), str(r["n"]), str(r["degree"]), r[column]]
          for r in rows],
     )
     _emit(args, payload, csv_rows)
     return 0
+
+
+def _cmd_norm_table(args) -> int:
+    return _label_table(args, "norm", basis_norm)
 
 
 def _cmd_spectrum(args) -> int:
-    ctx, err = _make_ctx4(args)
-    if err:
-        return err
-    rows = []
-    for label in _label_list(args.max_degree):
-        rows.append(
-            {
-                "gamma": list(label.gamma),
-                "n": label.n,
-                "degree": combin.weight(label.gamma) + label.n,
-                "energy": format_rational(energy_level(label, ctx)),
-            }
-        )
-    payload = {
-        "kappa": format_rational(ctx.kappa),
-        "kappa_prime": format_rational(ctx.kappa_prime),
-        "rows": rows,
-    }
-    csv_rows = (
-        ["gamma", "n", "degree", "energy"],
-        [[",".join(str(g) for g in r["gamma"]), str(r["n"]), str(r["degree"]), r["energy"]]
-         for r in rows],
-    )
-    _emit(args, payload, csv_rows)
-    return 0
+    return _label_table(args, "energy", energy_level)
 
 
 def _cmd_verify(args) -> int:
@@ -359,18 +327,13 @@ def _cmd_mc_check(args) -> int:
         ok = ok and abs(est - float(exact)) <= tol
 
     payload = {"normalization": normalization, "checks": checks, "ok": ok}
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["integrand", "kappa", "kappa_prime", "samples", "seed",
-                         "estimate", "stderr", "exact"])
-        for c in checks:
-            writer.writerow([c["integrand"], repr(c["kappa"]), repr(c["kappa_prime"]),
-                             str(c["samples"]), str(c["seed"]), repr(c["estimate"]),
-                             repr(c["stderr"]), c["exact"] or ""])
-        sys.stdout.write(buf.getvalue())
+    csv_rows = (
+        ["integrand", "kappa", "kappa_prime", "samples", "seed", "estimate", "stderr", "exact"],
+        [[c["integrand"], repr(c["kappa"]), repr(c["kappa_prime"]), str(c["samples"]),
+          str(c["seed"]), repr(c["estimate"]), repr(c["stderr"]), c["exact"] or ""]
+         for c in checks],
+    )
+    _emit(args, payload, csv_rows)
     return 0 if ok else 1
 
 

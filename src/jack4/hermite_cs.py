@@ -20,50 +20,23 @@ from math import factorial
 from . import combin
 from .basis4 import BasisLabel, basis_poly, invariant_F
 from .exact import ParamContext, Rat
-from .ops import (
-    cherednik_b,
-    d0_squared,
-    dunkl_d0,
-    euler,
-    laplacian_b,
-    laplacian_h,
-)
+from .ops import cherednik_b, d0_squared, dunkl_d0, euler, laplacian, laplacian_b
 from .poly import SparsePoly, Y0, Y4, embed_y0, embed_y3
 
 
-def _laplacian_for(kind: str):
-    if kind == "B":
-        return laplacian_b
-    if kind == "D0":
-        return d0_squared
-    if kind == "H":
-        return laplacian_h
-    raise ValueError(f"unknown Laplacian kind {kind!r}")
-
-
 def exp_half_laplacian(kind: str, f: SparsePoly, ctx: ParamContext, sign: int = -1) -> SparsePoly:
-    """exp(sign * Delta / 2) f as the terminating series sum (sign/2)^n / n! Delta^n f."""
+    """exp(sign * Delta / 2) f as the terminating series sum (sign/2)^n / n! Delta^n f,
+    Delta being :func:`jack4.ops.laplacian` of the given kind."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    lap = _laplacian_for(kind)
     out = f
-    term = f
-    n = 0
+    term = laplacian(kind, f, ctx)
+    n = 1
     while not term.is_zero():
-        n += 1
-        term = lap(term, ctx)
-        if term.is_zero():
-            break
         out = out + term * (Fraction(sign, 2) ** n / factorial(n))
+        term = laplacian(kind, term, ctx)
+        n += 1
     return out
-
-
-def exp_neg_half_laplacian(kind: str, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    return exp_half_laplacian(kind, f, ctx, sign=-1)
-
-
-def exp_pos_half_laplacian(kind: str, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    return exp_half_laplacian(kind, f, ctx, sign=1)
 
 
 # ---------------------------------------------------------------------- Laguerre
@@ -121,8 +94,8 @@ def hermite_basis(label: BasisLabel, ctx: ParamContext) -> HermiteRecord:
     """exp(-Delta_h/2)(p_gamma y_0^n), computed on the two tensor factors."""
     label = BasisLabel(tuple(int(g) for g in label[0]), int(label[1]))
     gamma, n = label
-    gpart = exp_neg_half_laplacian("B", basis_poly(gamma, ctx), ctx)
-    y0part = exp_neg_half_laplacian("D0", SparsePoly.monomial((n,), Y0), ctx)
+    gpart = exp_half_laplacian("B", basis_poly(gamma, ctx), ctx, -1)
+    y0part = exp_half_laplacian("D0", SparsePoly.monomial((n,), Y0), ctx, -1)
     poly = embed_y3(gpart) * embed_y0(y0part)
     return HermiteRecord(label, poly, energy_level(label, ctx))
 
@@ -140,7 +113,7 @@ def cs_invariant_eigenfunction(lam, s: int, n: int, ctx: ParamContext) -> Sparse
     with energy 2|lambda| + 3s + 2n + 6 kappa + kappa' + 2."""
     if n < 0:
         raise ValueError("Laguerre index must be nonnegative")
-    fpart = exp_neg_half_laplacian("B", invariant_F(lam, s, ctx).poly, ctx)
+    fpart = exp_half_laplacian("B", invariant_F(lam, s, ctx).poly, ctx, -1)
     lag = laguerre_y0sq(n, ctx.kappa_prime - Fraction(1, 2))
     return embed_y3(fpart) * embed_y0(lag)
 
@@ -204,7 +177,8 @@ def operator_identities_check(ctx: ParamContext, max_degree: int) -> list[Identi
     rep = IdentityReport("cherednik-sum-conjugation", 0, [])
     for exp in combin.compositions_up_to(max_degree, 3):
         f = SparsePoly.monomial(exp, "y3")
-        lhs = exp_neg_half_laplacian("B", _sum_cherednik_b(exp_pos_half_laplacian("B", f, ctx), ctx), ctx)
+        g = exp_half_laplacian("B", f, ctx, 1)
+        lhs = exp_half_laplacian("B", _sum_cherednik_b(g, ctx), ctx, -1)
         rhs = -laplacian_b(f, ctx) + euler(f) + (6 * ctx.kappa + 3) * f
         rep.checked += 1
         if lhs != rhs:
@@ -215,7 +189,8 @@ def operator_identities_check(ctx: ParamContext, max_degree: int) -> list[Identi
     rep = IdentityReport("d0y0-conjugation", 0, [])
     for m in range(max_degree + 1):
         f = SparsePoly.monomial((m,), Y0)
-        lhs = exp_neg_half_laplacian("D0", _d0y0_minus_sigma(exp_pos_half_laplacian("D0", f, ctx), ctx), ctx)
+        g = exp_half_laplacian("D0", f, ctx, 1)
+        lhs = exp_half_laplacian("D0", _d0y0_minus_sigma(g, ctx), ctx, -1)
         rhs = -d0_squared(f, ctx) + euler(f) + (ctx.kappa_prime + 1) * f
         rep.checked += 1
         if lhs != rhs:
@@ -244,9 +219,9 @@ def operator_identities_check(ctx: ParamContext, max_degree: int) -> list[Identi
     rep = IdentityReport("hamiltonian-conjugation", 0, [])
     for exp in combin.compositions_up_to(max_degree, 4):
         f = SparsePoly.monomial(exp, Y4)
-        g = exp_pos_half_laplacian("H", f, ctx)
+        g = exp_half_laplacian("H", f, ctx, 1)
         mid = _sum_cherednik_b(g, ctx) + _d0y0_minus_sigma(g, ctx) - 2 * g
-        rhs = exp_neg_half_laplacian("H", mid, ctx)
+        rhs = exp_half_laplacian("H", mid, ctx, -1)
         rep.checked += 1
         if conjugated_hamiltonian(f, ctx) != rhs:
             rep.failures.append(f"monomial {exp}")

@@ -1,73 +1,99 @@
 """Differential-difference operators and the bilinear pairings they induce.
 
-The type-A family acts in an x-frame on N variables:
+Every operator is one formula, the Dunkl operator of a root system,
 
-    D_i f = df/dx_i + kappa * sum_{j != i} (f - (i j) f) / (x_i - x_j),
-    U_i f = D_i(x_i f) - kappa * sum_{j < i} (j i) f.
+    D_xi f = df/dxi + sum_{alpha > 0} kappa_alpha <alpha, xi> (f - s_alpha f) / <alpha, v>,
 
-The type-D3 family acts on (y_1, y_2, y_3) (frames y3 or y4, the y_0
-coordinate being inert), with sigma_ij / tau_ij the reflections fixing
-y_i - y_j = 0 and y_i + y_j = 0:
+with xi = e_p, read from a per-frame root table.  Row p lists the roots with
+<alpha, e_p> = 1, as (q, s) for alpha = v_p - s v_q, whose reflection
+exchanges v_p and s v_q (a transposition for s = +1, tau_pq for s = -1), or
+as q = None for alpha = v_p, whose reflection negates v_p:
 
-    DB_i f = df/dy_i + kappa * sum_{j != i} [ (f - f sigma_ij)/(y_i - y_j)
-                                            + (f - f tau_ij)/(y_i + y_j) ],
-    UB_i f = DB_i(y_i f) - kappa * sum_{j < i} (sigma_ij + tau_ij) f.
+* x frames: A_{N-1}, roots x_p - x_q, weight kappa; the type-A D_i.
+* y3, and y_1..y_3 of y4: D3 = A3, roots y_p -+ y_q, weight kappa; the DB_i.
+  These are the images of the S4 roots x_i - x_j.  There is no short root,
+  so this is not the hyperoctahedral B3.
+* y_0 of y0 and y4: A1, the root y_0, weight kappa_prime; D0.
 
-Its roots are the long roots +-y_i +-y_j only; there is no short-root
-(y_i -> -y_i) term, so this is the root system D3 = A3, not the
-hyperoctahedral B3.  In the half-Hadamard coordinates the S4 roots x_i - x_j
-are exactly +-y_i +-y_j, so DB_i is the type-A operator in other coordinates.
-
-The y_0 direction carries its own operator weighted by kappa_prime:
-
-    D0 f = df/dy_0 + (kappa_prime / y_0) (f - f sigma_0),
-
-and the four-variable Dunkl operators of the extended group are
-
-    D'_i f = D_i f + (kappa_prime / (2 y_0)) (f - f sigma_0)      (x4 frame).
-
-All divided differences are computed termwise through the geometric-sum
-identity (x^a y^b - x^b y^a)/(x - y) = +-(sum of x^p y^q over p + q = a+b-1
-with p, q between the exponents), so every result is an exact polynomial.
+The Cherednik operators of the same tables are U_p f = D_p(v_p f) - kappa *
+(sum of s_alpha f over the roots (q, s) of row p with q < p): U_i for A_{N-1}
+and UB_i for D3.  The Dunkl operators of the extended group keep their x4
+definition, D'_i f = D_i f + (kappa_prime / (2 y_0)) (f - f sigma_0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import ParamContext, Rat
-from .poly import SparsePoly, Y0, Y3, Y4, is_x_frame, split_y0, to_x, to_y
+from .poly import SparsePoly, Y0, Y3, Y4, is_x_frame, to_x, to_y
 
 
-# ---------------------------------------------------------------------- termwise kernels
+# ---------------------------------------------------------------------- root tables
 
 
-def _swap_quotient(exp, p, q):
-    """Terms of (m - m(p q)) / (v_p - v_q) for the monomial m with exponents exp."""
-    a, b = exp[p], exp[q]
+@lru_cache(maxsize=None)
+def _roots(frame: str, nvars: int) -> tuple:
+    """The root table of a frame: a row of (q, s) per position p, and the
+    slices of positions spanned by its irreducible components.  A monomial
+    pairing is zero unless the two degrees agree on every component."""
+    # (first position, end, signs s of the roots v_p - s v_q); signs None
+    # marks a one-position A1 component, the root v_p weighted by kappa_prime
+    if is_x_frame(frame):
+        components = ((0, nvars, (1,)),)
+    elif frame == Y3:
+        components = ((0, 3, (1, -1)),)
+    elif frame == Y4:
+        components = ((0, 1, None), (1, 4, (1, -1)))
+    elif frame == Y0:
+        components = ((0, 1, None),)
+    else:
+        raise ValueError(f"no root system in frame {frame!r}")
+    rows = []
+    for lo, hi, signs in components:
+        for p in range(lo, hi):
+            if signs is None:
+                rows.append(((None, 1),))
+            else:
+                rows.append(tuple((q, s) for q in range(lo, hi) if q != p for s in signs))
+    return tuple(rows), tuple(slice(lo, hi) for lo, hi, _ in components)
+
+
+def _quotient(exp, p, q, s):
+    """Terms (exp2, coef) of (m - s_alpha m) / <alpha, v> for m = v^exp.
+
+    For alpha = v_p - v_q this is the geometric sum +-(v_p^c v_q^u over
+    c + u = a + b - 1, u from min(a, b) to max(a, b) - 1), a = exp[p] and
+    b = exp[q]; for alpha = v_p + v_q (s = -1) each term gains the sign
+    s^(b+u); for alpha = v_p (q = None) it is 2 m / v_p when a is odd.
+    """
+    a = exp[p]
+    if q is None:
+        if a % 2:
+            yield exp[:p] + (a - 1,) + exp[p + 1:], 2
+        return
+    b = exp[q]
     if a == b:
         return
     lo, hi = (b, a) if a > b else (a, b)
     sign = 1 if a > b else -1
+    if s < 0 and (b + lo) % 2:
+        sign = -sign
     base = list(exp)
     for u in range(lo, hi):
         base[p] = a + b - 1 - u
         base[q] = u
         yield tuple(base), sign
+        sign *= s
 
 
-def _tau_quotient(exp, p, q):
-    """Terms of (m - m tau_pq) / (v_p + v_q), tau_pq: v_p -> -v_q, v_q -> -v_p."""
-    a, b = exp[p], exp[q]
-    if a == b:
-        return
-    lo, hi = (b, a) if a > b else (a, b)
-    sgn = -1 if (a < b and (a + b) % 2 == 0) else 1
-    base = list(exp)
-    for u in range(lo, hi):
-        base[p] = a + b - 1 - u
-        base[q] = u
-        yield tuple(base), sgn * (-1 if (u - lo) % 2 else 1)
+def _reflect(exp, p, q, s):
+    """s_alpha v^exp = sign * v^exp2 for alpha = v_p - s v_q, which exchanges
+    v_p and s v_q; returns (exp2, sign)."""
+    e = list(exp)
+    e[p], e[q] = e[q], e[p]
+    return tuple(e), -1 if s < 0 and (exp[p] + exp[q]) % 2 else 1
 
 
 def _add(acc, exp, coef):
@@ -78,43 +104,50 @@ def _add(acc, exp, coef):
         acc.pop(exp, None)
 
 
-# ---------------------------------------------------------------------- type A
-
-
-def dunkl_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """Type-A Dunkl operator D_i (1-based i) in an x-frame."""
-    if not is_x_frame(f.frame):
-        raise ValueError(f"dunkl_a needs an x frame, got {f.frame!r}")
-    n = f.nvars
-    if not 1 <= i <= n:
-        raise ValueError(f"operator index {i} out of range")
-    p = i - 1
-    k = ctx.kappa
+def _dunkl(p: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    """D_{e_p} f over the root table of f's frame (0-based position p)."""
+    rows, _ = _roots(f.frame, f.nvars)
+    roots = []
+    for q, s in rows[p]:
+        k = ctx.kappa_prime if q is None else ctx.kappa
+        if k:
+            roots.append((q, s, k))
     acc: dict = {}
     for exp, c in f.terms.items():
         if exp[p]:
-            d = list(exp)
-            d[p] -= 1
-            _add(acc, tuple(d), c * exp[p])
-        if k:
-            for q in range(n):
-                if q == p:
-                    continue
-                for e2, sign in _swap_quotient(exp, p, q):
-                    _add(acc, e2, c * k * sign)
-    return SparsePoly(n, f.frame, acc)
+            _add(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * exp[p])
+        for q, s, k in roots:
+            ck = c * k
+            for e2, sign in _quotient(exp, p, q, s):
+                _add(acc, e2, ck * sign)
+    return SparsePoly(f.nvars, f.frame, acc)
 
 
-def cherednik_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """Type-A Cherednik operator U_i; triangular on monomials in the dominance order."""
-    xi_f = SparsePoly.variable(i - 1, f.nvars, f.frame) * f
-    out = dunkl_a(i, xi_f, ctx)
-    for j in range(1, i):
-        out = out - ctx.kappa * f.swap_variables(j - 1, i - 1)
-    return out
+def _cherednik(p: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    """U_p f = D_p(v_p f) - kappa * sum of s_alpha f over the roots (q, s) of
+    row p with q < p; triangular on monomials, and the U_p commute."""
+    vp_f = {e[:p] + (e[p] + 1,) + e[p + 1:]: c for e, c in f.terms.items()}
+    acc = dict(_dunkl(p, SparsePoly(f.nvars, f.frame, vp_f), ctx).terms)
+    rows, _ = _roots(f.frame, f.nvars)
+    k = ctx.kappa
+    for q, s in rows[p]:
+        if k and q is not None and q < p:
+            for exp, c in f.terms.items():
+                e2, sign = _reflect(exp, p, q, s)
+                _add(acc, e2, -sign * k * c)
+    return SparsePoly(f.nvars, f.frame, acc)
 
 
-# ---------------------------------------------------------------------- type D3 on (y1, y2, y3)
+# ---------------------------------------------------------------------- entry points
+
+
+def _a_position(f: SparsePoly, i: int) -> int:
+    """Exponent position of x_i for a type-A operator index i."""
+    if not is_x_frame(f.frame):
+        raise ValueError(f"type-A operators need an x frame, got {f.frame!r}")
+    if not 1 <= i <= f.nvars:
+        raise ValueError(f"operator index {i} out of range")
+    return i - 1
 
 
 def _b_position(frame: str, i: int) -> int:
@@ -128,66 +161,31 @@ def _b_position(frame: str, i: int) -> int:
     raise ValueError(f"B operators act on y3 or y4 frames, got {frame!r}")
 
 
-def _b_partners(frame: str, p: int) -> list[int]:
-    first = 0 if frame == Y3 else 1
-    return [q for q in range(first, first + 3) if q != p]
+def dunkl_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    """Type-A Dunkl operator D_i (1-based i) in an x-frame."""
+    return _dunkl(_a_position(f, i), f, ctx)
+
+
+def cherednik_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    """Type-A Cherednik operator U_i; triangular on monomials in the dominance order."""
+    return _cherednik(_a_position(f, i), f, ctx)
 
 
 def dunkl_b(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Type-D3 Dunkl operator DB_i on y3 (or slicewise on y4): roots y_i +- y_j only."""
-    p = _b_position(f.frame, i)
-    k = ctx.kappa
-    acc: dict = {}
-    for exp, c in f.terms.items():
-        if exp[p]:
-            d = list(exp)
-            d[p] -= 1
-            _add(acc, tuple(d), c * exp[p])
-        if k:
-            for q in _b_partners(f.frame, p):
-                for e2, sign in _swap_quotient(exp, p, q):
-                    _add(acc, e2, c * k * sign)
-                for e2, sign in _tau_quotient(exp, p, q):
-                    _add(acc, e2, c * k * sign)
-    return SparsePoly(f.nvars, f.frame, acc)
-
-
-def _tau_reflect(f: SparsePoly, p: int, q: int) -> SparsePoly:
-    """Apply tau_pq: swap the two exponents and flip sign by their parity."""
-    terms = {}
-    for e, c in f.terms.items():
-        le = list(e)
-        le[p], le[q] = le[q], le[p]
-        terms[tuple(le)] = -c if (e[p] + e[q]) % 2 else c
-    return SparsePoly(f.nvars, f.frame, terms)
+    return _dunkl(_b_position(f.frame, i), f, ctx)
 
 
 def cherednik_b(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Type-D3 Cherednik operator UB_i; the UB_i commute pairwise."""
-    p = _b_position(f.frame, i)
-    out = dunkl_b(i, SparsePoly.variable(p, f.nvars, f.frame) * f, ctx)
-    for j in range(1, i):
-        pj = _b_position(f.frame, j)
-        out = out - ctx.kappa * (f.swap_variables(p, pj) + _tau_reflect(f, p, pj))
-    return out
-
-
-# ---------------------------------------------------------------------- the y0 direction
+    return _cherednik(_b_position(f.frame, i), f, ctx)
 
 
 def dunkl_d0(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """D0 = d/dy_0 + (kappa_prime / y_0)(1 - sigma_0); the difference part is
-    odd in y_0, so the division is exact termwise."""
+    """D0 = d/dy_0 + (kappa_prime / y_0)(1 - sigma_0) on the y0 or y4 frame."""
     if f.frame not in (Y0, Y4):
         raise ValueError(f"dunkl_d0 needs the y0 or y4 frame, got {f.frame!r}")
-    acc: dict = {}
-    for exp, c in f.terms.items():
-        a = exp[0]
-        if a:
-            d = (a - 1,) + exp[1:]
-            factor = a + 2 * ctx.kappa_prime if a % 2 else Fraction(a)
-            _add(acc, d, c * factor)
-    return SparsePoly(f.nvars, f.frame, acc)
+    return _dunkl(0, f, ctx)
 
 
 def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
@@ -199,7 +197,7 @@ def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """
     if f.frame != "x4":
         raise ValueError(f"dunkl_prime needs the x4 frame, got {f.frame!r}")
-    out = dunkl_a(i, f, ctx)
+    out = _dunkl(_a_position(f, i), f, ctx)
     if ctx.kappa_prime:
         odd = {
             (exp[0] - 1,) + exp[1:]: c * ctx.kappa_prime
@@ -242,8 +240,11 @@ def laplacian_h(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 
 
 def laplacian(kind: str, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    """Delta_B, D0^2 or Delta_h, by kind "B", "D0" or "H"."""
     if kind == "B":
         return laplacian_b(f, ctx)
+    if kind == "D0":
+        return d0_squared(f, ctx)
     if kind == "H":
         return laplacian_h(f, ctx)
     raise ValueError(f"unknown Laplacian kind {kind!r}")
@@ -256,22 +257,21 @@ def euler(f: SparsePoly) -> SparsePoly:
 
 # ---------------------------------------------------------------------- pairings
 
-# Per-(frame, nvars, kappa) memos: _MONO_PAIR_CACHE maps each key to a dict
-# {(a, b): <x^a, x^b>_kappa}, _DUNKL_MONO_CACHE to a dict {(p, b): terms of
-# D_{p+1} x^b}.  Entries are only ever written with one deterministic value,
-# so concurrent get-or-compute is harmless.
+# Per-(frame, nvars, kappa) memos, with kappa_prime added to the key in y4:
+# _MONO_PAIR_CACHE maps each key to a dict {(a, b): <v^a, v^b>},
+# _DUNKL_MONO_CACHE to a dict {(p, b): terms of D_{e_p} v^b}.  Entries are
+# only ever written with one deterministic value, so concurrent
+# get-or-compute is harmless.
 _MONO_PAIR_CACHE: dict = {}
 _DUNKL_MONO_CACHE: dict = {}
-_D0_PAIR_CACHE: dict = {}
 
 
-def _monomial_pairing(
-    pairs: dict, images: dict, dunkl, frame: str, ctx: ParamContext, a, b
-) -> Rat:
-    """<x^a, x^b>_kappa for |a| = |b| by <x^a, x^b> = <x^(a - e_p), D_{p+1} x^b>,
-    p the first position with a_p > 0; the D_i commute, so any p gives the
-    same value.  D_{p+1} lowers the degree by one, so |a| = |b| holds all the
-    way down to <1, 1> = 1."""
+def _monomial_pairing(pairs: dict, images: dict, frame: str, ctx: ParamContext, a, b) -> Rat:
+    """<v^a, v^b> for monomials of equal degree on every component, by
+    <v^a, v^b> = <v^(a - e_p), D_{e_p} v^b>, p the first position with
+    a_p > 0; the D_{e_p} commute, so any p gives the same value.  D_{e_p}
+    lowers the degree on p's component by one, so the degrees keep agreeing
+    all the way down to <1, 1> = 1."""
     key = (a, b)
     value = pairs.get(key)
     if value is not None:
@@ -282,13 +282,30 @@ def _monomial_pairing(
     else:
         image = images.get((p, b))
         if image is None:
-            image = images[(p, b)] = dunkl(p + 1, SparsePoly.monomial(b, frame), ctx).terms
+            image = images[(p, b)] = _dunkl(p, SparsePoly.monomial(b, frame), ctx).terms
         lower = a[:p] + (a[p] - 1,) + a[p + 1:]
         value = Fraction(0)
         for c, coef in image.items():
-            value += coef * _monomial_pairing(pairs, images, dunkl, frame, ctx, lower, c)
+            value += coef * _monomial_pairing(pairs, images, frame, ctx, lower, c)
     pairs[key] = value
     return value
+
+
+def _pairing(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
+    """f(D_{e_1}, ..., D_{e_N}) g at the origin, over the root table of the
+    common frame of f and g."""
+    key = (f.frame, f.nvars, ctx.kappa) + ((ctx.kappa_prime,) if f.frame == Y4 else ())
+    pairs = _MONO_PAIR_CACHE.setdefault(key, {})
+    images = _DUNKL_MONO_CACHE.setdefault(key, {})
+    _, blocks = _roots(f.frame, f.nvars)
+    g_by_degree: dict = {}
+    for eb, cb in g.terms.items():
+        g_by_degree.setdefault(tuple(sum(eb[s]) for s in blocks), []).append((eb, cb))
+    total = Fraction(0)
+    for ea, ca in f.terms.items():
+        for eb, cb in g_by_degree.get(tuple(sum(ea[s]) for s in blocks), ()):
+            total += ca * cb * _monomial_pairing(pairs, images, f.frame, ctx, ea, eb)
+    return total
 
 
 def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
@@ -304,47 +321,23 @@ def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     pairings of degree d - 1.  Both the one-step images D_i x^b and every
     pairing met on the way are memoized per (frame, nvars, kappa), so each
     sub-pairing is computed once and shared by all later pairings at the
-    same kappa.
+    same kappa, whatever kappa_prime is.
     """
     if f.frame != g.frame or f.nvars != g.nvars:
         raise ValueError("pairing needs matching frames")
     if not (is_x_frame(f.frame) or f.frame == Y3):
         raise ValueError(f"pairing_kappa is defined on x frames and y3, got {f.frame!r}")
-    key = (f.frame, f.nvars, ctx.kappa)
-    pairs = _MONO_PAIR_CACHE.setdefault(key, {})
-    images = _DUNKL_MONO_CACHE.setdefault(key, {})
-    dunkl = dunkl_a if is_x_frame(f.frame) else dunkl_b
-    g_by_degree: dict = {}
-    for eb, cb in g.terms.items():
-        g_by_degree.setdefault(sum(eb), []).append((eb, cb))
-    total = Fraction(0)
-    for ea, ca in f.terms.items():
-        for eb, cb in g_by_degree.get(sum(ea), ()):
-            total += ca * cb * _monomial_pairing(pairs, images, dunkl, f.frame, ctx, ea, eb)
-    return total
-
-
-def _d0_pairing(a: int, b: int, ctx: ParamContext) -> Rat:
-    """D0^a applied to y_0^b, constant term."""
-    key = (ctx.kappa_prime, a, b)
-    cached = _D0_PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
-    g = SparsePoly.monomial((b,), Y0)
-    for _ in range(a):
-        if g.is_zero():
-            break
-        g = dunkl_d0(g, ctx)
-    value = g.constant_term()
-    _D0_PAIR_CACHE[key] = value
-    return value
+    return _pairing(f, g, ctx)
 
 
 def pairing_extended(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     """<f, g>_{kappa, kappa_prime} = f(D'_1, ..., D'_4) g at the origin.
 
-    Computed through the tensor split over y_0 and (y_1, y_2, y_3):
-    <y_0^a f_a, y_0^b g_b> = (D0^a y_0^b at 0) * <f_a, g_b>_kappa.
+    The orthogonal change to y4 carries the D'_i to the Dunkl operators along
+    the y axes, (D0, DB_1, DB_2, DB_3), so this is the memoized recursion of
+    :func:`pairing_kappa` on to_y(f) and to_y(g) over the y4 root table, with
+    kappa_prime in the memo key.  Monomials whose y_0 degrees differ pair to
+    zero without recursing.
     """
     if f.frame == "x4":
         f = to_y(f)
@@ -352,12 +345,4 @@ def pairing_extended(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
         g = to_y(g)
     if f.frame != Y4 or g.frame != Y4:
         raise ValueError("pairing_extended needs the x4 or y4 frame")
-    fs = split_y0(f)
-    gs = split_y0(g)
-    total = Fraction(0)
-    for a, fa in fs.items():
-        for b, gb in gs.items():
-            factor = _d0_pairing(a, b, ctx)
-            if factor:
-                total += factor * pairing_kappa(fa, gb, ctx)
-    return total
+    return _pairing(f, g, ctx)

@@ -81,7 +81,12 @@ def var_names(frame: str, nvars: int) -> list[str]:
 
 
 class SparsePoly:
-    """A finite map from exponent vectors to nonzero rational coefficients."""
+    """A finite map from exponent vectors to nonzero rational coefficients.
+
+    Coefficients may be ints, Fractions or exact strings such as "0.1";
+    binary floats are refused, since 0.1 would silently become
+    3602879701896397/2^55.
+    """
 
     __slots__ = ("nvars", "frame", "terms")
 
@@ -93,7 +98,11 @@ class SparsePoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for nvars={nvars}")
-            c = merged.get(exp, Fraction(0)) + Fraction(coef)
+            if type(coef) is not Fraction:
+                if isinstance(coef, float):
+                    raise ValueError(f"coefficient {coef!r} is a float; pass an exact value")
+                coef = Fraction(coef)
+            c = merged.get(exp, Fraction(0)) + coef
             if c:
                 merged[exp] = c
             else:
@@ -112,7 +121,7 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, value, nvars: int, frame: str) -> "SparsePoly":
-        return cls(nvars, frame, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, frame, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int, frame: str) -> "SparsePoly":
@@ -121,7 +130,7 @@ class SparsePoly:
     @classmethod
     def monomial(cls, exp, frame: str, coef=1) -> "SparsePoly":
         exp = tuple(int(e) for e in exp)
-        return cls(len(exp), frame, {exp: Fraction(coef)})
+        return cls(len(exp), frame, {exp: coef})
 
     @classmethod
     def variable(cls, pos: int, nvars: int, frame: str) -> "SparsePoly":

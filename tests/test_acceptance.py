@@ -11,7 +11,7 @@ from math import factorial
 from jack4 import verify
 from jack4.basis4 import BasisLabel, basis_poly4
 from jack4.exact import make_context
-from jack4.hermite_cs import exp_neg_half_laplacian, hermite_basis, laguerre_y0sq
+from jack4.hermite_cs import exp_half_laplacian, hermite_basis, laguerre_y0sq
 from jack4.jack import jack_norm
 from jack4.measure import McConfig, mc_inner_product, normalization_constant, selberg_product
 from jack4.ops import pairing_extended
@@ -107,9 +107,9 @@ def test_criterion_7_laguerre_identity():
         ctx = make_context(kappa, kp, 3)
         for n in range(5):
             scale = Fraction(-2) ** n * factorial(n)
-            even = exp_neg_half_laplacian("D0", y0 ** (2 * n), ctx)
+            even = exp_half_laplacian("D0", y0 ** (2 * n), ctx, -1)
             ok = ok and even == scale * laguerre_y0sq(n, kp - Fraction(1, 2))
-            odd = exp_neg_half_laplacian("D0", y0 ** (2 * n + 1), ctx)
+            odd = exp_half_laplacian("D0", y0 ** (2 * n + 1), ctx, -1)
             ok = ok and odd == scale * (y0 * laguerre_y0sq(n, kp + Fraction(1, 2)))
     _report(7, "exp(-D0^2/2) y0^m = Laguerre closed form, m <= 9", ok)
 

@@ -185,6 +185,21 @@ GOLDEN_STDOUT = {
         "f6fc3141fd4942c22d9636f14ddb7eeeff9a744f41d5d1a7b4b7b31aaa8099fb",
     ("mc-check", "--samples", "20000"):
         "97dd1cd3f8076eabdcbb7f67251e40220f655e11c34decc6ca0d9874308eaefb",
+    ("norm-table", "--max-degree", "3", "--format", "csv"):
+        "cb085ad1d2840c1e50f27feaab12f5678cc80f990c3ba4adaed4979fe4dcdfdd",
+    ("mc-check", "--samples", "20000", "--format", "csv"):
+        "16d392234dfafc589022ff8d0774a23c37c4de6166361f4b99c659a82c2b0d4b",
+    ("basis", "--lambda", "2,1,0", "--s", "1", "--kappa", "1/2", "--kappa-prime", "2"):
+        "e2218cb44e15fd4cfa2d7a41092f543849db81fa7ef429b34d42c767a6727e39",
+    ("hermite", "--gamma", "1,0,1", "--n", "1", "--kappa", "1/2", "--kappa-prime", "2"):
+        "3b1a5a57568059ad03c8a51d0bddab7143502d9089cd51acb208759b10a42f82",
+    ("nsjp", "--alpha", "2,0,1", "--kappa", "1/2"):
+        "ef4f0d7b91113cacb0a0826eec677a54622c735b2a1a64336192f9e158d3bee9",
+    ("verify", "--suite", "identities", "--max-degree", "3", "--kappa", "1/2",
+     "--kappa-prime", "2"):
+        "6b05d3592560542859bb78135144ac796fe05b3f0c247310a6e00081eee877b2",
+    ("verify", "--suite", "eigen", "--max-degree", "3", "--kappa", "1/2"):
+        "623c55369eb09d6d84a7394268c4b9f8abb66d4a63b21594145ab91e6180e1ee",
 }
 
 

@@ -10,8 +10,7 @@ from jack4.hermite_cs import (
     cs_invariant_eigenfunction,
     cs_invariant_energy,
     energy_level,
-    exp_neg_half_laplacian,
-    exp_pos_half_laplacian,
+    exp_half_laplacian,
     hermite_basis,
     laguerre,
     laguerre_y0sq,
@@ -28,25 +27,27 @@ def test_exp_series_low_degree(ctx_each_pair):
     ctx = ctx_each_pair
     k, kp = ctx.kappa, ctx.kappa_prime
     y1 = SparsePoly.variable(0, 3, "y3")
-    assert exp_neg_half_laplacian("B", y1, ctx) == y1  # degree <= 1 is fixed
-    assert exp_neg_half_laplacian("D0", y0_power(1), ctx) == y0_power(1)
-    assert exp_neg_half_laplacian("D0", y0_power(2), ctx) == y0_power(2) - (1 + 2 * kp)
+    assert exp_half_laplacian("B", y1, ctx, -1) == y1  # degree <= 1 is fixed
+    assert exp_half_laplacian("D0", y0_power(1), ctx, -1) == y0_power(1)
+    assert exp_half_laplacian("D0", y0_power(2), ctx, -1) == y0_power(2) - (1 + 2 * kp)
     one3 = SparsePoly.one(3, "y3")
-    assert exp_neg_half_laplacian("B", y1 * y1, ctx) == y1 * y1 - (1 + 4 * k) * one3
+    assert exp_half_laplacian("B", y1 * y1, ctx, -1) == y1 * y1 - (1 + 4 * k) * one3
 
 
 def test_exp_series_inverse(ctx):
     for exp in combin.compositions_up_to(4, 3):
         f = SparsePoly.monomial(exp, "y3")
-        assert exp_neg_half_laplacian("B", exp_pos_half_laplacian("B", f, ctx), ctx) == f
+        assert exp_half_laplacian("B", exp_half_laplacian("B", f, ctx, 1), ctx, -1) == f
     for exp in combin.compositions_up_to(3, 4):
         f = SparsePoly.monomial(exp, "y4")
-        assert exp_pos_half_laplacian("H", exp_neg_half_laplacian("H", f, ctx), ctx) == f
+        assert exp_half_laplacian("H", exp_half_laplacian("H", f, ctx, -1), ctx, 1) == f
 
 
 def test_exp_kind_validation(ctx):
     with pytest.raises(ValueError):
-        exp_neg_half_laplacian("Q", SparsePoly.one(3, "y3"), ctx)
+        exp_half_laplacian("Q", SparsePoly.one(3, "y3"), ctx, -1)
+    with pytest.raises(ValueError):
+        exp_half_laplacian("Q", SparsePoly.zero(3, "y3"), ctx, -1)
 
 
 def test_laguerre_values():
@@ -66,10 +67,10 @@ def test_laguerre_hermite_identity(ctx_each_pair):
     ctx = ctx_each_pair
     kp = ctx.kappa_prime
     for n in range(5):
-        even = exp_neg_half_laplacian("D0", y0_power(2 * n), ctx)
+        even = exp_half_laplacian("D0", y0_power(2 * n), ctx, -1)
         scale = Fraction(-2) ** n * factorial(n)
         assert even == scale * laguerre_y0sq(n, kp - Fraction(1, 2))
-        odd = exp_neg_half_laplacian("D0", y0_power(2 * n + 1), ctx)
+        odd = exp_half_laplacian("D0", y0_power(2 * n + 1), ctx, -1)
         assert odd == scale * (y0_power(1) * laguerre_y0sq(n, kp + Fraction(1, 2)))
 
 
@@ -95,7 +96,7 @@ def test_hermite_basis_factorization_matches_direct_series(ctx):
     labels = [BasisLabel(g, n) for g in combin.compositions_up_to(3, 3) for n in (0, 1, 2)
               if combin.weight(g) + n <= 4]
     for lab in labels:
-        direct = exp_neg_half_laplacian("H", basis_poly4(lab, ctx), ctx)
+        direct = exp_half_laplacian("H", basis_poly4(lab, ctx), ctx, -1)
         assert hermite_basis(lab, ctx).poly == direct
 
 

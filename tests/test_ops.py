@@ -8,7 +8,7 @@ import sympy
 from jack4 import combin, ops
 from jack4.exact import make_context
 from jack4.ops import (
-    _swap_quotient,
+    _quotient,
     cherednik_a,
     cherednik_b,
     d0_squared,
@@ -23,7 +23,7 @@ from jack4.ops import (
     pairing_extended,
     pairing_kappa,
 )
-from jack4.poly import SparsePoly, to_x, to_y
+from jack4.poly import SparsePoly, split_y0, substitute_linear, to_x, to_y
 
 KAPPAS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(5, 7))
 PARAM_PAIRS = tuple(
@@ -81,15 +81,25 @@ def xvar(i, n=3):
 
 
 def test_swap_quotient_relational():
-    # q = (m - swap m)/(v_p - v_q)  <=>  q * (v_p - v_q) = m - swap m
+    # q = (m - s_alpha m)/<alpha, v>  <=>  q * <alpha, v> = m - s_alpha m, for
+    # alpha = v_p - v_q (s = +1), v_p + v_q (s = -1) and v_p (q = None)
+    def var(i):
+        return SparsePoly.variable(i, 3, "y3")
+
     for exp in combin.compositions_up_to(5, 3):
-        f = SparsePoly.monomial(exp, "x3")
-        for p, q in itertools.permutations(range(3), 2):
-            quot = SparsePoly(3, "x3", dict()) + SparsePoly(
-                3, "x3", {e: Fraction(s) for e, s in _swap_quotient(exp, p, q)}
-            )
-            diff = f - f.swap_variables(p, q)
-            assert quot * (xvar(p + 1) - xvar(q + 1)) == diff
+        f = SparsePoly.monomial(exp, "y3")
+        for p in range(3):
+            roots = [(None, 1, var(p), f.sign_change(p + 1))]
+            for q in range(3):
+                if q == p:
+                    continue
+                forms = [var(i) for i in range(3)]
+                forms[p], forms[q] = -var(q), -var(p)
+                roots.append((q, 1, var(p) - var(q), f.swap_variables(p, q)))
+                roots.append((q, -1, var(p) + var(q), substitute_linear(f, forms)))
+            for q, s, root, reflected in roots:
+                quot = SparsePoly(3, "y3", {e: Fraction(c) for e, c in _quotient(exp, p, q, s)})
+                assert quot * root == f - reflected, (exp, p, q, s)
 
 
 # ---------------------------------------------------------------- type A
@@ -236,7 +246,7 @@ def dunkl_b_xframe(i, f, ctx):
             a, b = table[(lo, hi)]
             d = {}
             for exp, c in f.terms.items():
-                for e2, s in _swap_quotient(exp, a - 1, b - 1):
+                for e2, s in _quotient(exp, a - 1, b - 1, 1):
                     d[e2] = d.get(e2, Fraction(0)) + c * ctx.kappa * s * extra
             acc = acc + SparsePoly(4, "x4", d)
     return acc
@@ -328,6 +338,8 @@ def test_laplacian_h_frame_consistency(ctx_each_pair):
 def test_laplacian_dispatch(ctx):
     f = SparsePoly.monomial((2, 0, 0), "y3")
     assert laplacian("B", f, ctx) == laplacian_b(f, ctx)
+    y0sq = SparsePoly.monomial((2,), "y0")
+    assert laplacian("D0", y0sq, ctx) == d0_squared(y0sq, ctx)
     with pytest.raises(ValueError):
         laplacian("Q", f, ctx)
 
@@ -517,6 +529,52 @@ def test_pairing_extended_matches_direct_definition():
         f = to_x(SparsePoly(4, "y4", {(2, 1, 0, 0): 1, (0, 0, 2, 0): Fraction(1, 3)}))
         g = to_x(SparsePoly(4, "y4", {(2, 1, 0, 0): Fraction(2), (1, 0, 0, 1): 1}))
         assert pairing_extended(f, g, ctx) == pairing_extended_direct(f, g, ctx)
+
+
+def pairing_extended_by_split(f, g, ctx):
+    """Reference route: the tensor split over y_0 and (y_1, y_2, y_3),
+    <y_0^a f_a, y_0^b g_b> = (D0^a y_0^b at 0) * <f_a, g_b>_kappa."""
+    total = Fraction(0)
+    for a, fa in split_y0(f).items():
+        for b, gb in split_y0(g).items():
+            h = SparsePoly.monomial((b,), "y0")
+            for _ in range(a):
+                h = dunkl_d0(h, ctx)
+            factor = h.constant_term()
+            if factor:
+                total += factor * pairing_kappa(fa, gb, ctx)
+    return total
+
+
+def test_pairing_extended_matches_tensor_split():
+    rng = random.Random(8128)
+
+    def exponent(degree):
+        # y0 degree up to 4, the rest spread over y1..y3
+        e = [rng.randint(0, min(4, degree)), 0, 0, 0]
+        for _ in range(degree - e[0]):
+            e[rng.randint(1, 3)] += 1
+        return tuple(e)
+
+    def coef():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+    pairs = []
+    for _ in range(40):
+        degrees = [rng.randint(0, 6) for _ in range(rng.randint(1, 4))]
+        f = SparsePoly(4, "y4", {exponent(d): coef() for d in degrees})
+        # g shares f's total degrees, with its own y0 degrees: some pairs of
+        # terms agree in y0 degree, some differ
+        g = SparsePoly(4, "y4", {exponent(d): coef() for d in degrees + [rng.randint(0, 6)]})
+        pairs.append((f, g))
+    clear_pairing_caches()
+    # the caches stay warm from one parameter pair to the next
+    for kappa, kp in PARAM_PAIRS:
+        ctx = make_context(kappa, kp, 3)
+        expected = [pairing_extended_by_split(f, g, ctx) for f, g in pairs]
+        assert sum(1 for v in expected if v) >= 20
+        assert [pairing_extended(f, g, ctx) for f, g in pairs] == expected
+        assert [pairing_extended(g, f, ctx) for f, g in pairs] == expected
 
 
 def test_parity_separation(ctx):

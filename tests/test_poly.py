@@ -29,6 +29,18 @@ def xvar(i, nvars=3):
     return SparsePoly.variable(i, nvars, f"x{nvars}")
 
 
+def test_refuses_float_coefficients():
+    with pytest.raises(ValueError, match="float"):
+        SparsePoly(3, "y3", {(1, 0, 0): 0.1})
+    with pytest.raises(ValueError, match="float"):
+        SparsePoly.constant(0.5, 3, "y3")
+    with pytest.raises(ValueError, match="float"):
+        SparsePoly.monomial((1, 0, 0), "y3", 2.0)
+    f = SparsePoly(3, "y3", {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 3), (0, 0, 1): "0.1"})
+    assert f.terms == {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 3), (0, 0, 1): Fraction(1, 10)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+
+
 def random_poly(rng, nvars=3, frame="x3", max_deg=3, terms=4):
     out = {}
     for _ in range(terms):
