@@ -21,7 +21,7 @@ from . import combin
 from .basis4 import BasisLabel, basis_poly, invariant_F
 from .exact import ParamContext, Rat
 from .ops import cherednik_b, d0_squared, dunkl_d0, euler, laplacian, laplacian_b
-from .poly import SparsePoly, Y0, Y4, embed_y0, embed_y3
+from .poly import SparsePoly, Y0, Y3, Y4, embed_y0, embed_y3
 
 
 def exp_half_laplacian(kind: str, f: SparsePoly, ctx: ParamContext, sign: int = -1) -> SparsePoly:
@@ -153,78 +153,59 @@ def _d0sq_termwise(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """d^2/dy_0^2 + (2 kappa'/y_0) d/dy_0 - kappa'(1 - sigma_0)/y_0^2 applied
     termwise to a y0 polynomial; the singular pieces cancel on degree < 2."""
     kp = ctx.kappa_prime
-    acc: dict = {}
+    terms = []
     for exp, c in f.terms.items():
         m = exp[0]
         factor = Fraction(m * (m - 1)) + 2 * kp * m - kp * (1 - (-1) ** m)
         if factor:
             if m < 2:
                 raise AssertionError("singular parts fail to cancel below degree 2")
-            e = acc.get((m - 2,), Fraction(0)) + c * factor
-            if e:
-                acc[(m - 2,)] = e
-            else:
-                acc.pop((m - 2,), None)
-    return SparsePoly(1, Y0, acc)
+            terms.append(((m - 2,), c * factor))
+    return SparsePoly(1, Y0, terms)
+
+
+def _identity(name: str, cases, holds) -> IdentityReport:
+    """Check holds(f) for each (label, f) in cases."""
+    rep = IdentityReport(name, 0, [])
+    for label, f in cases:
+        rep.checked += 1
+        if not holds(f):
+            rep.failures.append(label)
+    return rep
 
 
 def operator_identities_check(ctx: ParamContext, max_degree: int) -> list[IdentityReport]:
     """Verify the conjugation and decomposition identities on all monomials of
     total degree <= max_degree.  Every report must come back with no failures."""
-    reports = []
+    y3 = [(f"monomial {e}", SparsePoly.monomial(e, Y3))
+          for e in combin.compositions_up_to(max_degree, 3)]
+    y0 = [(f"y0^{m}", SparsePoly.monomial((m,), Y0)) for m in range(max_degree + 1)]
+    y4 = [(f"monomial {e}", SparsePoly.monomial(e, Y4))
+          for e in combin.compositions_up_to(max_degree, 4)]
 
-    # exp(-Delta_B/2) (sum_i UB_i) exp(Delta_B/2) = -Delta_B + sum y_i d/dy_i + 6 kappa + 3
-    rep = IdentityReport("cherednik-sum-conjugation", 0, [])
-    for exp in combin.compositions_up_to(max_degree, 3):
-        f = SparsePoly.monomial(exp, "y3")
-        g = exp_half_laplacian("B", f, ctx, 1)
-        lhs = exp_half_laplacian("B", _sum_cherednik_b(g, ctx), ctx, -1)
-        rhs = -laplacian_b(f, ctx) + euler(f) + (6 * ctx.kappa + 3) * f
-        rep.checked += 1
-        if lhs != rhs:
-            rep.failures.append(f"monomial {exp}")
-    reports.append(rep)
+    def conjugate(kind, op, f):
+        """exp(-Delta/2) op exp(Delta/2) f for the Laplacian of the given kind."""
+        return exp_half_laplacian(kind, op(exp_half_laplacian(kind, f, ctx, 1)), ctx, -1)
 
-    # exp(-D0^2/2) (D0 y0 - kappa' sigma_0) exp(D0^2/2) = -D0^2 + y_0 d/dy_0 + kappa' + 1
-    rep = IdentityReport("d0y0-conjugation", 0, [])
-    for m in range(max_degree + 1):
-        f = SparsePoly.monomial((m,), Y0)
-        g = exp_half_laplacian("D0", f, ctx, 1)
-        lhs = exp_half_laplacian("D0", _d0y0_minus_sigma(g, ctx), ctx, -1)
-        rhs = -d0_squared(f, ctx) + euler(f) + (ctx.kappa_prime + 1) * f
-        rep.checked += 1
-        if lhs != rhs:
-            rep.failures.append(f"y0^{m}")
-    reports.append(rep)
+    def hamiltonian_mid(g):
+        return _sum_cherednik_b(g, ctx) + _d0y0_minus_sigma(g, ctx) - 2 * g
 
-    # D0^2 = d^2/dy_0^2 + (2 kappa'/y_0) d/dy_0 - kappa' (1 - sigma_0)/y_0^2
-    rep = IdentityReport("d0-squared-decomposition", 0, [])
-    for m in range(max_degree + 1):
-        f = SparsePoly.monomial((m,), Y0)
-        rep.checked += 1
-        if d0_squared(f, ctx) != _d0sq_termwise(f, ctx):
-            rep.failures.append(f"y0^{m}")
-    reports.append(rep)
-
-    # (D0 y0 - kappa' sigma_0) y_0^n = (n + 1 + kappa') y_0^n
-    rep = IdentityReport("d0y0-eigenvalue", 0, [])
-    for m in range(max_degree + 1):
-        f = SparsePoly.monomial((m,), Y0)
-        rep.checked += 1
-        if _d0y0_minus_sigma(f, ctx) != (m + 1 + ctx.kappa_prime) * f:
-            rep.failures.append(f"y0^{m}")
-    reports.append(rep)
-
-    # conjugated Hamiltonian = exp(-Delta_h/2)(sum UB_i + D0 y0 - kappa' sigma_0 - 2) exp(Delta_h/2)
-    rep = IdentityReport("hamiltonian-conjugation", 0, [])
-    for exp in combin.compositions_up_to(max_degree, 4):
-        f = SparsePoly.monomial(exp, Y4)
-        g = exp_half_laplacian("H", f, ctx, 1)
-        mid = _sum_cherednik_b(g, ctx) + _d0y0_minus_sigma(g, ctx) - 2 * g
-        rhs = exp_half_laplacian("H", mid, ctx, -1)
-        rep.checked += 1
-        if conjugated_hamiltonian(f, ctx) != rhs:
-            rep.failures.append(f"monomial {exp}")
-    reports.append(rep)
-
-    return reports
+    return [
+        # exp(-Delta_B/2) (sum_i UB_i) exp(Delta_B/2) = -Delta_B + sum y_i d/dy_i + 6 kappa + 3
+        _identity("cherednik-sum-conjugation", y3, lambda f: (
+            conjugate("B", lambda g: _sum_cherednik_b(g, ctx), f)
+            == -laplacian_b(f, ctx) + euler(f) + (6 * ctx.kappa + 3) * f)),
+        # exp(-D0^2/2) (D0 y0 - kappa' sigma_0) exp(D0^2/2) = -D0^2 + y_0 d/dy_0 + kappa' + 1
+        _identity("d0y0-conjugation", y0, lambda f: (
+            conjugate("D0", lambda g: _d0y0_minus_sigma(g, ctx), f)
+            == -d0_squared(f, ctx) + euler(f) + (ctx.kappa_prime + 1) * f)),
+        # D0^2 = d^2/dy_0^2 + (2 kappa'/y_0) d/dy_0 - kappa' (1 - sigma_0)/y_0^2
+        _identity("d0-squared-decomposition", y0,
+                  lambda f: d0_squared(f, ctx) == _d0sq_termwise(f, ctx)),
+        # (D0 y0 - kappa' sigma_0) y_0^n = (n + 1 + kappa') y_0^n
+        _identity("d0y0-eigenvalue", y0, lambda f: (
+            _d0y0_minus_sigma(f, ctx) == (f.degree() + 1 + ctx.kappa_prime) * f)),
+        # conjugated Hamiltonian = exp(-Delta_h/2)(sum UB_i + D0 y0 - kappa' sigma_0 - 2) exp(Delta_h/2)
+        _identity("hamiltonian-conjugation", y4, lambda f: (
+            conjugated_hamiltonian(f, ctx) == conjugate("H", hamiltonian_mid, f))),
+    ]

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import combin
 from .exact import ParamContext, Rat
-from .ops import cherednik_a
+from .ops import _apply, _memo
 from .poly import SparsePoly, x_frame
 
 
@@ -28,38 +28,14 @@ class NsjpRecord:
     norm: Rat
 
 
-_RECORD_CACHE: dict = {}
-_MATRIX_CACHE: dict = {}
-
-
-def _cherednik_matrix(i: int, degree: int, nvars: int, ctx: ParamContext):
-    """Rows of U_i on the degree-graded monomial basis, canonically ordered.
-
-    Returns (monomials, rows) where rows[r][c] is the coefficient of
-    monomial r in U_i applied to monomial c; lower-triangular by dominance.
-    """
-    key = (i, degree, nvars, ctx.kappa)
-    cached = _MATRIX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    monos = combin.compositions_of_weight(degree, nvars)
-    index = {m: pos for pos, m in enumerate(monos)}
-    rows: list[dict[int, Fraction]] = [{} for _ in monos]
-    for col, m in enumerate(monos):
-        image = cherednik_a(i, SparsePoly.monomial(m, x_frame(nvars)), ctx)
-        for exp, coef in image.terms.items():
-            rows[index[exp]][col] = coef
-    result = (monos, rows)
-    _MATRIX_CACHE[key] = result
-    return result
-
-
 def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
     """Construct zeta_alpha by back-substitution in the canonical order.
 
     The solve runs on the eigen-equation of U_1 and, whenever a lower
     monomial shares the same U_1 eigenvalue, falls back to the first U_i
-    that separates it (the joint spectrum is simple for kappa > 0).
+    that separates it (the joint spectrum is simple for kappa > 0).  For
+    each U_i it uses, it keeps U_i applied to the part solved so far, from
+    the memoized images of U_i on monomials.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
@@ -68,42 +44,33 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
         raise ValueError(f"composition length {len(alpha)} != context nvars {ctx.nvars_a}")
     if ctx.kappa <= 0:
         raise ValueError("nonsymmetric Jack construction requires kappa > 0")
-    key = (alpha, ctx.kappa)
-    cached = _RECORD_CACHE.get(key)
+    nvars = len(alpha)
+    frame = x_frame(nvars)
+    records = _memo("nsjp", frame, nvars, ctx)
+    cached = records.get(alpha)
     if cached is not None:
         return cached
 
-    nvars = len(alpha)
-    degree = combin.weight(alpha)
     xi_alpha = combin.spectral_vector(alpha, ctx)
-    monos, rows1 = _cherednik_matrix(1, degree, nvars, ctx)
-    pos = monos.index(alpha)
-    spectra = [combin.spectral_vector(m, ctx) for m in monos]
-
-    coeffs: list[Fraction] = [Fraction(0)] * len(monos)
-    coeffs[pos] = Fraction(1)
-    for k in range(pos + 1, len(monos)):
-        sel = None
-        for i in range(nvars):
-            if spectra[k][i] != xi_alpha[i]:
-                sel = i + 1
-                break
+    monos = combin.compositions_of_weight(combin.weight(alpha), nvars)
+    coeffs = {alpha: Fraction(1)}
+    running: dict = {}  # sel -> terms of U_sel applied to the part solved so far
+    for m in monos[monos.index(alpha) + 1:]:
+        xi = combin.spectral_vector(m, ctx)
+        sel = next((i for i in range(nvars) if xi[i] != xi_alpha[i]), None)
         if sel is None:
-            raise ArithmeticError(f"spectral vectors of {alpha} and {monos[k]} collide")
-        rows = rows1 if sel == 1 else _cherednik_matrix(sel, degree, nvars, ctx)[1]
-        acc = Fraction(0)
-        for col, entry in rows[k].items():
-            if pos <= col < k and coeffs[col]:
-                acc += entry * coeffs[col]
-        coeffs[k] = acc / (xi_alpha[sel - 1] - spectra[k][sel - 1])
+            raise ArithmeticError(f"spectral vectors of {alpha} and {m} collide")
+        if sel not in running:
+            running[sel] = dict(_apply(("U", sel), SparsePoly(nvars, frame, coeffs), ctx).terms)
+        value = running[sel].get(m, 0) / (xi_alpha[sel] - xi[sel])
+        if value:
+            coeffs[m] = value
+            for i, acc in running.items():
+                for exp, c in _memo(("U", i), frame, nvars, ctx)[m].items():
+                    acc[exp] = acc.get(exp, 0) + value * c
 
-    poly = SparsePoly(
-        nvars,
-        x_frame(nvars),
-        {m: c for m, c in zip(monos, coeffs) if c},
-    )
-    record = NsjpRecord(alpha, poly, xi_alpha, nsjp_norm(alpha, ctx))
-    _RECORD_CACHE[key] = record
+    poly = SparsePoly(nvars, frame, coeffs)
+    record = records[alpha] = NsjpRecord(alpha, poly, xi_alpha, nsjp_norm(alpha, ctx))
     return record
 
 

@@ -17,8 +17,18 @@ as q = None for alpha = v_p, whose reflection negates v_p:
 
 The Cherednik operators of the same tables are U_p f = D_p(v_p f) - kappa *
 (sum of s_alpha f over the roots (q, s) of row p with q < p): U_i for A_{N-1}
-and UB_i for D3.  The Dunkl operators of the extended group keep their x4
+and UB_i for D3.  The y-frame Laplacians are sums of D_p^2 over a table of
+positions p.  The Dunkl operators of the extended group keep their x4
 definition, D'_i f = D_i f + (kappa_prime / (2 y_0)) (f - f sigma_0).
+
+D_p, U_p and these Laplacians are linear and graded, so each is applied to f
+as the sum of c times its image of v^exp over the terms c v^exp of f.  Each
+image is computed once and kept in the one memo _MEMO_CACHE, keyed by
+("D", p), ("U", p) or ("L", positions) with frame, nvars and kappa, and
+kappa_prime appended in the frames with a y_0 root (y0, y4); x-frame and y3
+entries are shared across kappa_prime.  The same memo holds the monomial
+pairings and the records of :func:`jack4.jack.nsjp`.  Every entry is written
+once with one deterministic value, so concurrent get-or-compute is harmless.
 """
 
 from __future__ import annotations
@@ -104,37 +114,71 @@ def _add(acc, exp, coef):
         acc.pop(exp, None)
 
 
-def _dunkl(p: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """D_{e_p} f over the root table of f's frame (0-based position p)."""
-    rows, _ = _roots(f.frame, f.nvars)
-    roots = []
+def _kernel(p: int, exp, c, rows: tuple, ctx: ParamContext, acc: dict) -> dict:
+    """Add c * D_{e_p} v^exp to acc, over the root table rows; returns acc."""
+    if exp[p]:
+        _add(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * exp[p])
     for q, s in rows[p]:
         k = ctx.kappa_prime if q is None else ctx.kappa
         if k:
-            roots.append((q, s, k))
+            for e2, sign in _quotient(exp, p, q, s):
+                _add(acc, e2, c * k * sign)
+    return acc
+
+
+class _Images(dict):
+    """The memo entry of one operator: exp -> terms of its image of v^exp,
+    computed on first lookup.  The inner factors of U and L come from the
+    kernel directly; only the outer image is stored."""
+
+    def __init__(self, op: tuple, rows: tuple, ctx: ParamContext):
+        self.op, self.rows, self.ctx = op, rows, ctx
+
+    def __missing__(self, exp):
+        (kind, arg), rows, ctx = self.op, self.rows, self.ctx
+        if kind == "D":
+            image = _kernel(arg, exp, 1, rows, ctx, {})
+        elif kind == "L":
+            image = {}
+            for p in arg:
+                for e2, c in _kernel(p, exp, 1, rows, ctx, {}).items():
+                    _kernel(p, e2, c, rows, ctx, image)
+        else:  # "U"
+            p = arg
+            image = _kernel(p, exp[:p] + (exp[p] + 1,) + exp[p + 1:], 1, rows, ctx, {})
+            for q, s in rows[p]:
+                if q is not None and q < p:
+                    e2, sign = _reflect(exp, p, q, s)
+                    _add(image, e2, -sign * ctx.kappa)
+        self[exp] = image
+        return image
+
+
+_MEMO_CACHE: dict = {}
+
+
+def _memo(name, frame: str, nvars: int, ctx: ParamContext) -> dict:
+    # The parameters enter the key as integer ratios: a tuple of ints hashes
+    # in C, while Fraction.__hash__ runs in Python on every lookup.
+    key = (name, frame, nvars, ctx.kappa.as_integer_ratio())
+    if frame in (Y0, Y4):
+        key += (ctx.kappa_prime.as_integer_ratio(),)
+    entry = _MEMO_CACHE.get(key)
+    if entry is None:
+        # operator names are tuples; "pair" and "nsjp" hold plain values
+        entry = _MEMO_CACHE[key] = (
+            _Images(name, _roots(frame, nvars)[0], ctx) if isinstance(name, tuple) else {}
+        )
+    return entry
+
+
+def _apply(op: tuple, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    """op f as the sum of c * (memoized image of v^exp) over the terms of f."""
+    images = _memo(op, f.frame, f.nvars, ctx)
     acc: dict = {}
     for exp, c in f.terms.items():
-        if exp[p]:
-            _add(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * exp[p])
-        for q, s, k in roots:
-            ck = c * k
-            for e2, sign in _quotient(exp, p, q, s):
-                _add(acc, e2, ck * sign)
-    return SparsePoly(f.nvars, f.frame, acc)
-
-
-def _cherednik(p: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """U_p f = D_p(v_p f) - kappa * sum of s_alpha f over the roots (q, s) of
-    row p with q < p; triangular on monomials, and the U_p commute."""
-    vp_f = {e[:p] + (e[p] + 1,) + e[p + 1:]: c for e, c in f.terms.items()}
-    acc = dict(_dunkl(p, SparsePoly(f.nvars, f.frame, vp_f), ctx).terms)
-    rows, _ = _roots(f.frame, f.nvars)
-    k = ctx.kappa
-    for q, s in rows[p]:
-        if k and q is not None and q < p:
-            for exp, c in f.terms.items():
-                e2, sign = _reflect(exp, p, q, s)
-                _add(acc, e2, -sign * k * c)
+        for e2, c2 in images[exp].items():
+            _add(acc, e2, c * c2)
     return SparsePoly(f.nvars, f.frame, acc)
 
 
@@ -163,29 +207,29 @@ def _b_position(frame: str, i: int) -> int:
 
 def dunkl_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Type-A Dunkl operator D_i (1-based i) in an x-frame."""
-    return _dunkl(_a_position(f, i), f, ctx)
+    return _apply(("D", _a_position(f, i)), f, ctx)
 
 
 def cherednik_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Type-A Cherednik operator U_i; triangular on monomials in the dominance order."""
-    return _cherednik(_a_position(f, i), f, ctx)
+    return _apply(("U", _a_position(f, i)), f, ctx)
 
 
 def dunkl_b(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Type-D3 Dunkl operator DB_i on y3 (or slicewise on y4): roots y_i +- y_j only."""
-    return _dunkl(_b_position(f.frame, i), f, ctx)
+    return _apply(("D", _b_position(f.frame, i)), f, ctx)
 
 
 def cherednik_b(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Type-D3 Cherednik operator UB_i; the UB_i commute pairwise."""
-    return _cherednik(_b_position(f.frame, i), f, ctx)
+    return _apply(("U", _b_position(f.frame, i)), f, ctx)
 
 
 def dunkl_d0(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """D0 = d/dy_0 + (kappa_prime / y_0)(1 - sigma_0) on the y0 or y4 frame."""
     if f.frame not in (Y0, Y4):
         raise ValueError(f"dunkl_d0 needs the y0 or y4 frame, got {f.frame!r}")
-    return _dunkl(0, f, ctx)
+    return _apply(("D", 0), f, ctx)
 
 
 def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
@@ -197,7 +241,7 @@ def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """
     if f.frame != "x4":
         raise ValueError(f"dunkl_prime needs the x4 frame, got {f.frame!r}")
-    out = _dunkl(_a_position(f, i), f, ctx)
+    out = _apply(("D", _a_position(f, i)), f, ctx)
     if ctx.kappa_prime:
         odd = {
             (exp[0] - 1,) + exp[1:]: c * ctx.kappa_prime
@@ -211,23 +255,36 @@ def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 # ---------------------------------------------------------------------- Laplacians, Euler
 
 
+# Positions p of each Laplacian sum_p D_{e_p}^2, by kind and frame.
+_LAPLACIAN_POSITIONS = {
+    "B": {Y3: (0, 1, 2), Y4: (1, 2, 3)},
+    "D0": {Y0: (0,), Y4: (0,)},
+    "H": {Y4: (0, 1, 2, 3)},
+}
+
+
+def _laplacian(kind: str, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    positions = _LAPLACIAN_POSITIONS[kind].get(f.frame)
+    if positions is None:
+        raise ValueError(f"no {kind} Laplacian in frame {f.frame!r}")
+    return _apply(("L", positions), f, ctx)
+
+
 def laplacian_b(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Delta_B = sum_{i=1..3} DB_i^2 (frames y3 or y4)."""
-    out = SparsePoly.zero(f.nvars, f.frame)
-    for i in (1, 2, 3):
-        out = out + dunkl_b(i, dunkl_b(i, f, ctx), ctx)
-    return out
+    return _laplacian("B", f, ctx)
 
 
 def d0_squared(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    return dunkl_d0(dunkl_d0(f, ctx), ctx)
+    return _laplacian("D0", f, ctx)
 
 
 def laplacian_h(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Delta_h = sum_{i=1..4} D'_i^2 = Delta_B + D0^2.
 
-    Computed through D'_i in the x4 frame (the definition) and through the
-    B/y0 split in the y4 frame; the two routes agree and are cross-tested.
+    Computed through D'_i in the x4 frame (the definition) and as
+    D0^2 + DB_1^2 + DB_2^2 + DB_3^2 in the y4 frame; the two routes agree
+    and are cross-tested.
     """
     if f.frame == "x4":
         out = SparsePoly.zero(4, f.frame)
@@ -235,7 +292,7 @@ def laplacian_h(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
             out = out + dunkl_prime(i, dunkl_prime(i, f, ctx), ctx)
         return out
     if f.frame == Y4:
-        return laplacian_b(f, ctx) + d0_squared(f, ctx)
+        return _laplacian("H", f, ctx)
     raise ValueError(f"laplacian_h needs x4 or y4, got {f.frame!r}")
 
 
@@ -257,16 +314,8 @@ def euler(f: SparsePoly) -> SparsePoly:
 
 # ---------------------------------------------------------------------- pairings
 
-# Per-(frame, nvars, kappa) memos, with kappa_prime added to the key in y4:
-# _MONO_PAIR_CACHE maps each key to a dict {(a, b): <v^a, v^b>},
-# _DUNKL_MONO_CACHE to a dict {(p, b): terms of D_{e_p} v^b}.  Entries are
-# only ever written with one deterministic value, so concurrent
-# get-or-compute is harmless.
-_MONO_PAIR_CACHE: dict = {}
-_DUNKL_MONO_CACHE: dict = {}
 
-
-def _monomial_pairing(pairs: dict, images: dict, frame: str, ctx: ParamContext, a, b) -> Rat:
+def _monomial_pairing(pairs: dict, images: list, a, b) -> Rat:
     """<v^a, v^b> for monomials of equal degree on every component, by
     <v^a, v^b> = <v^(a - e_p), D_{e_p} v^b>, p the first position with
     a_p > 0; the D_{e_p} commute, so any p gives the same value.  D_{e_p}
@@ -280,13 +329,10 @@ def _monomial_pairing(pairs: dict, images: dict, frame: str, ctx: ParamContext, 
     if p is None:
         value = Fraction(1)
     else:
-        image = images.get((p, b))
-        if image is None:
-            image = images[(p, b)] = _dunkl(p, SparsePoly.monomial(b, frame), ctx).terms
         lower = a[:p] + (a[p] - 1,) + a[p + 1:]
         value = Fraction(0)
-        for c, coef in image.items():
-            value += coef * _monomial_pairing(pairs, images, frame, ctx, lower, c)
+        for c, coef in images[p][b].items():
+            value += coef * _monomial_pairing(pairs, images, lower, c)
     pairs[key] = value
     return value
 
@@ -294,9 +340,8 @@ def _monomial_pairing(pairs: dict, images: dict, frame: str, ctx: ParamContext, 
 def _pairing(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     """f(D_{e_1}, ..., D_{e_N}) g at the origin, over the root table of the
     common frame of f and g."""
-    key = (f.frame, f.nvars, ctx.kappa) + ((ctx.kappa_prime,) if f.frame == Y4 else ())
-    pairs = _MONO_PAIR_CACHE.setdefault(key, {})
-    images = _DUNKL_MONO_CACHE.setdefault(key, {})
+    pairs = _memo("pair", f.frame, f.nvars, ctx)
+    images = [_memo(("D", p), f.frame, f.nvars, ctx) for p in range(f.nvars)]
     _, blocks = _roots(f.frame, f.nvars)
     g_by_degree: dict = {}
     for eb, cb in g.terms.items():
@@ -304,7 +349,7 @@ def _pairing(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     total = Fraction(0)
     for ea, ca in f.terms.items():
         for eb, cb in g_by_degree.get(tuple(sum(ea[s]) for s in blocks), ()):
-            total += ca * cb * _monomial_pairing(pairs, images, f.frame, ctx, ea, eb)
+            total += ca * cb * _monomial_pairing(pairs, images, ea, eb)
     return total
 
 
@@ -318,10 +363,10 @@ def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
         <x^a, x^b> = <x^(a - e_i), D_i x^b>,   i the first index with a_i > 0,
 
     so a pairing of degree d is a sum over the terms of one D_i x^b of
-    pairings of degree d - 1.  Both the one-step images D_i x^b and every
-    pairing met on the way are memoized per (frame, nvars, kappa), so each
-    sub-pairing is computed once and shared by all later pairings at the
-    same kappa, whatever kappa_prime is.
+    pairings of degree d - 1.  The images D_i x^b and every pairing met on
+    the way are entries of the operator memo, keyed per (frame, nvars,
+    kappa), so each sub-pairing is computed once and shared by all later
+    pairings at the same kappa, whatever kappa_prime is.
     """
     if f.frame != g.frame or f.nvars != g.nvars:
         raise ValueError("pairing needs matching frames")

@@ -80,6 +80,13 @@ def var_names(frame: str, nvars: int) -> list[str]:
     return ["t"]
 
 
+def _exact(coef) -> Fraction:
+    """coef as a Fraction; a binary float is refused rather than rounded."""
+    if isinstance(coef, float):
+        raise ValueError(f"coefficient {coef!r} is a float; pass an exact value")
+    return Fraction(coef)
+
+
 class SparsePoly:
     """A finite map from exponent vectors to nonzero rational coefficients.
 
@@ -99,9 +106,7 @@ class SparsePoly:
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for nvars={nvars}")
             if type(coef) is not Fraction:
-                if isinstance(coef, float):
-                    raise ValueError(f"coefficient {coef!r} is a float; pass an exact value")
-                coef = Fraction(coef)
+                coef = _exact(coef)
             c = merged.get(exp, Fraction(0)) + coef
             if c:
                 merged[exp] = c
@@ -191,16 +196,14 @@ class SparsePoly:
         return SparsePoly(self.nvars, self.frame, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SparsePoly) else -Fraction(other))
+        return self + (-other if isinstance(other, SparsePoly) else -_exact(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            c = Fraction(other)
-            if not c:
-                return SparsePoly.zero(self.nvars, self.frame)
+            c = _exact(other)
             return SparsePoly(self.nvars, self.frame, {e: c * v for e, v in self.terms.items()})
         self._require_same_shape(other)
         terms: dict[tuple[int, ...], Fraction] = {}
@@ -279,10 +282,6 @@ class SparsePoly:
         )
 
     # ------------------------------------------------------------------ misc
-
-    def map_frame(self, frame: str) -> "SparsePoly":
-        """Retag with a frame of the same variable count (no substitution)."""
-        return SparsePoly(self.nvars, frame, self.terms)
 
     def __eq__(self, other) -> bool:
         return (

@@ -200,6 +200,16 @@ GOLDEN_STDOUT = {
         "6b05d3592560542859bb78135144ac796fe05b3f0c247310a6e00081eee877b2",
     ("verify", "--suite", "eigen", "--max-degree", "3", "--kappa", "1/2"):
         "623c55369eb09d6d84a7394268c4b9f8abb66d4a63b21594145ab91e6180e1ee",
+    ("verify", "--suite", "spectrum", "--max-degree", "4", "--kappa", "1/2",
+     "--kappa-prime", "2"):
+        "f6991a2f1d3107b6f2948a7634ca56f59d0238135ccf9beb623d0b17342100a5",
+    ("hermite", "--lambda", "1,0,0", "--s", "0", "--n", "2", "--kappa", "1",
+     "--kappa-prime", "1/2"):
+        "bf535ec2fac0de546a34b360251395a8ad9164e4e97b7fed64a1a5f5dbb5977c",
+    ("nsjp", "--alpha", "1,2,1", "--kappa", "5/7"):
+        "83fcf74b30b1846b53439cf932e19e711fb2f5313c1ee7f4629633d4f0e4b7a2",
+    ("verify", "--suite", "prop1", "--max-degree", "4", "--kappa", "5/7"):
+        "f1c419a26d809655061c3a5a84418346fe833d4e182e7c473ea0422ea5b18d0b",
 }
 
 

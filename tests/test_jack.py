@@ -1,9 +1,10 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
-from jack4 import combin
+from jack4 import combin, ops
 from jack4.exact import make_context
 from jack4.jack import (
     jack_norm,
@@ -13,7 +14,7 @@ from jack4.jack import (
     symmetric_jack,
 )
 from jack4.ops import cherednik_a, pairing_kappa
-from jack4.poly import SparsePoly
+from jack4.poly import SparsePoly, x_frame
 
 
 def xvar(i):
@@ -49,6 +50,71 @@ def test_nsjp_eigenfunction_sample(ctx_each_kappa):
         rec = nsjp(alpha, ctx)
         for i in (1, 2, 3):
             assert cherednik_a(i, rec.poly, ctx) == rec.spectral[i - 1] * rec.poly
+
+
+def cherednik_matrix(i, degree, nvars, ctx):
+    """Rows of U_i on the degree-graded monomials in canonical order:
+    rows[r][c] is the coefficient of monomial r in U_i of monomial c."""
+    monos = combin.compositions_of_weight(degree, nvars)
+    index = {m: pos for pos, m in enumerate(monos)}
+    rows = [{} for _ in monos]
+    for col, m in enumerate(monos):
+        for exp, coef in cherednik_a(i, SparsePoly.monomial(m, x_frame(nvars)), ctx).terms.items():
+            rows[index[exp]][col] = coef
+    return monos, rows
+
+
+def nsjp_by_matrix(alpha, ctx):
+    """Reference route: back-substitution on the full U_i matrices, row k
+    against every coefficient solved before it."""
+    nvars = len(alpha)
+    degree = sum(alpha)
+    xi_alpha = combin.spectral_vector(alpha, ctx)
+    monos, _ = cherednik_matrix(1, degree, nvars, ctx)
+    matrices = {}
+    pos = monos.index(alpha)
+    coeffs = [Fraction(0)] * len(monos)
+    coeffs[pos] = Fraction(1)
+    for k in range(pos + 1, len(monos)):
+        xi = combin.spectral_vector(monos[k], ctx)
+        sel = next(i for i in range(nvars) if xi[i] != xi_alpha[i]) + 1
+        if sel not in matrices:
+            matrices[sel] = cherednik_matrix(sel, degree, nvars, ctx)[1]
+        acc = sum(
+            (entry * coeffs[col] for col, entry in matrices[sel][k].items() if pos <= col < k),
+            Fraction(0),
+        )
+        coeffs[k] = acc / (xi_alpha[sel - 1] - xi[sel - 1])
+    return SparsePoly(nvars, x_frame(nvars), dict(zip(monos, coeffs)))
+
+
+def test_nsjp_matches_matrix_solve(ctx_each_kappa):
+    ctx = ctx_each_kappa
+    for alpha in combin.compositions_up_to(5, 3):
+        assert nsjp(alpha, ctx).poly == nsjp_by_matrix(alpha, ctx), alpha
+
+
+def clear_jack4_caches():
+    """Empty every ``*_CACHE`` dict and every ``cache_clear``-able object of
+    jack4, by the rule of ``perfbench/workloads.clear_caches``."""
+    for name, module in list(sys.modules.items()):
+        if name != "jack4" and not name.startswith("jack4."):
+            continue
+        for attr, value in vars(module).items():
+            if attr.endswith("_CACHE") and isinstance(value, dict):
+                value.clear()
+            elif callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def test_cache_reset_reaches_the_memo(ctx):
+    first = nsjp((2, 1, 0), ctx)
+    assert ops._MEMO_CACHE
+    clear_jack4_caches()
+    assert not ops._MEMO_CACHE
+    second = nsjp((2, 1, 0), ctx)
+    assert second is not first
+    assert second == first
 
 
 def test_nsjp_validation():

@@ -69,6 +69,12 @@ def sympy_dunkl_b(i, f, kappa):
     return sympy.expand(out)
 
 
+def clear_memo():
+    for name, value in vars(ops).items():
+        if name.endswith("_CACHE"):
+            value.clear()
+
+
 def yvar(i):
     return SparsePoly.variable(i - 1, 3, "y3")
 
@@ -344,6 +350,105 @@ def test_laplacian_dispatch(ctx):
         laplacian("Q", f, ctx)
 
 
+# ---------------------------------------------------------------- memoized operators
+#
+# The operators read monomial images from one memo keyed by (operator, frame,
+# nvars, kappa), with kappa_prime added in y0 and y4.  Their compositional
+# definitions are computed cold at each parameter pair; the memoized side
+# runs warm across all the pairs, so a key missing a parameter shows.
+
+
+def reflection(f, p, q, s):
+    """s_alpha f for alpha = v_p - s v_q, which exchanges v_p and s v_q,
+    built from swap_variables and sign_change (0-based positions)."""
+    out = f.swap_variables(p, q)
+    if s < 0:
+        shift = 1 if f.frame == "y3" else 0  # sign_change takes the y index
+        out = out.sign_change(p + shift).sign_change(q + shift)
+    return out
+
+
+def cherednik_by_definition(p, f, ctx):
+    """U_p f = D_p(v_p f) - kappa * sum of s_alpha f over the roots
+    v_p - s v_q with q < p (s = +1 only in x frames)."""
+    if f.frame.startswith("x"):
+        dunkl, i, lo, signs = dunkl_a, p + 1, 0, (1,)
+    else:
+        lo = 1 if f.frame == "y4" else 0
+        dunkl, i, signs = dunkl_b, p + 1 - lo, (1, -1)
+    out = dunkl(i, SparsePoly.variable(p, f.nvars, f.frame) * f, ctx)
+    for q in range(lo, p):
+        for s in signs:
+            out = out - ctx.kappa * reflection(f, p, q, s)
+    return out
+
+
+def laplacian_b_by_definition(f, ctx):
+    out = SparsePoly.zero(f.nvars, f.frame)
+    for i in (1, 2, 3):
+        out = out + dunkl_b(i, dunkl_b(i, f, ctx), ctx)
+    return out
+
+
+def d0_squared_by_definition(f, ctx):
+    return dunkl_d0(dunkl_d0(f, ctx), ctx)
+
+
+def memo_cases():
+    """Every monomial of degree <= 4, and seeded sparse polynomials, per frame."""
+    rng = random.Random(3141)
+    cases = {}
+    for frame, nvars in (("x3", 3), ("x4", 4), ("y3", 3), ("y4", 4), ("y0", 1)):
+        polys = [SparsePoly.monomial(e, frame) for e in combin.compositions_up_to(4, nvars)]
+        for _ in range(6):
+            polys.append(SparsePoly(nvars, frame, {
+                tuple(rng.randint(0, 3) for _ in range(nvars)):
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for _ in range(rng.randint(1, 5))
+            }))
+        cases[frame] = polys
+    return cases
+
+
+def memoized_operator_checks():
+    """(name, memoized operator, definition, frame) for every operator on the memo."""
+    checks = []
+    for frame in ("x3", "x4"):
+        for p in range(int(frame[1])):
+            checks.append((f"U_{p + 1} {frame}", lambda f, c, p=p: cherednik_a(p + 1, f, c),
+                           lambda f, c, p=p: cherednik_by_definition(p, f, c), frame))
+    for frame, lo in (("y3", 0), ("y4", 1)):
+        for p in range(lo, lo + 3):
+            checks.append((f"UB_{p + 1 - lo} {frame}",
+                           lambda f, c, p=p, lo=lo: cherednik_b(p + 1 - lo, f, c),
+                           lambda f, c, p=p: cherednik_by_definition(p, f, c), frame))
+        checks.append((f"Delta_B {frame}", laplacian_b, laplacian_b_by_definition, frame))
+    for frame in ("y0", "y4"):
+        checks.append((f"D0^2 {frame}", d0_squared, d0_squared_by_definition, frame))
+    checks.append(("Delta_h y4", laplacian_h,
+                   lambda f, c: laplacian_b_by_definition(f, c) + d0_squared_by_definition(f, c),
+                   "y4"))
+    return checks
+
+
+def test_memoized_operators_match_definitions():
+    cases = memo_cases()
+    checks = memoized_operator_checks()
+    expected = {}
+    for kappa, kp in PARAM_PAIRS:
+        ctx = make_context(kappa, kp, 3)
+        clear_memo()
+        expected[kappa, kp] = {
+            name: [define(f, ctx) for f in cases[frame]] for name, _, define, frame in checks
+        }
+    clear_memo()
+    # the memo stays warm from one parameter pair to the next
+    for kappa, kp in PARAM_PAIRS:
+        ctx = make_context(kappa, kp, 3)
+        for name, apply, _, frame in checks:
+            assert [apply(f, ctx) for f in cases[frame]] == expected[kappa, kp][name], name
+
+
 def test_euler():
     f = SparsePoly(3, "y3", {(2, 1, 0): 1, (0, 0, 0): 7})
     assert euler(f) == SparsePoly(3, "y3", {(2, 1, 0): 3})
@@ -377,12 +482,6 @@ def pairing_kappa_by_strings(f, g, ctx):
     return total
 
 
-def clear_pairing_caches():
-    for name, value in vars(ops).items():
-        if name.endswith("_CACHE"):
-            value.clear()
-
-
 def test_pairing_kappa_matches_dunkl_strings_on_monomials(ctx_each_kappa):
     ctx = ctx_each_kappa
     for frame in ("x3", "y3"):
@@ -393,7 +492,7 @@ def test_pairing_kappa_matches_dunkl_strings_on_monomials(ctx_each_kappa):
             for b in combin.compositions_of_weight(d, 3)
         ]
         expected = [pairing_kappa_by_strings(f, g, ctx) for f, g in pairs]
-        clear_pairing_caches()
+        clear_memo()
         # cold: the highest degree first, so its memo is filled from nothing
         cold = [pairing_kappa(f, g, ctx) for f, g in reversed(pairs)][::-1]
         warm = [pairing_kappa(f, g, ctx) for f, g in pairs]
@@ -415,7 +514,7 @@ def test_pairing_kappa_matches_dunkl_strings_on_sparse_polys():
     polys = [
         (sparse_poly(frame), sparse_poly(frame)) for frame in ("x3", "y3") for _ in range(30)
     ]
-    clear_pairing_caches()
+    clear_memo()
     # the caches stay warm from one kappa to the next
     for kappa in KAPPAS:
         ctx = make_context(kappa, 0, 3)
@@ -567,7 +666,7 @@ def test_pairing_extended_matches_tensor_split():
         # terms agree in y0 degree, some differ
         g = SparsePoly(4, "y4", {exponent(d): coef() for d in degrees + [rng.randint(0, 6)]})
         pairs.append((f, g))
-    clear_pairing_caches()
+    clear_memo()
     # the caches stay warm from one parameter pair to the next
     for kappa, kp in PARAM_PAIRS:
         ctx = make_context(kappa, kp, 3)

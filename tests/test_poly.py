@@ -39,6 +39,20 @@ def test_refuses_float_coefficients():
     f = SparsePoly(3, "y3", {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 3), (0, 0, 1): "0.1"})
     assert f.terms == {(1, 0, 0): 3, (0, 1, 0): Fraction(1, 3), (0, 0, 1): Fraction(1, 10)}
     assert all(type(c) is Fraction for c in f.terms.values())
+    # scalar ring ops take the same check
+    for op in (
+        lambda: f * 0.1,
+        lambda: 0.1 * f,
+        lambda: f - 0.1,
+        lambda: 0.1 - f,
+        lambda: f + 0.1,
+        lambda: 0.1 + f,
+        lambda: f * 0.0,
+    ):
+        with pytest.raises(ValueError, match="float"):
+            op()
+    assert (f * "0.1").terms == {e: c / 10 for e, c in f.terms.items()}
+    assert (f - "0.1").constant_term() == Fraction(-1, 10)
 
 
 def random_poly(rng, nvars=3, frame="x3", max_deg=3, terms=4):
