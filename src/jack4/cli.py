@@ -34,7 +34,7 @@ from .hermite_cs import (
     hermite_basis,
 )
 from .jack import nsjp, nsjp_eval_ones
-from .measure import McConfig, mc_inner_product, mc_report, normalization_constant, selberg_product
+from .measure import McConfig, mc_inner_products, mc_report, normalization_constant, selberg_product
 from .ops import pairing_extended
 from .poly import poly_to_json, var_names
 from .verify import SUITES
@@ -317,11 +317,14 @@ def _cmd_mc_check(args) -> int:
         ("<H[y0^2],H[y0^2]>", BasisLabel((0, 0, 0), 2), BasisLabel((0, 0, 0), 2)),
         ("<H[p_200],H[p_200]>", BasisLabel((2, 0, 0), 0), BasisLabel((2, 0, 0), 0)),
     ]
-    for name, la, lb in pairs:
+    images = []
+    exacts = []
+    for _, la, lb in pairs:
         fa = hermite_basis(la, ctx).poly
-        fb = fa if la == lb else hermite_basis(lb, ctx).poly
-        exact = pairing_extended(basis_poly4(la, ctx), basis_poly4(lb, ctx), ctx)
-        est, se = mc_inner_product(fa, fb, cfg)
+        images.append((fa, fa if la == lb else hermite_basis(lb, ctx).poly))
+        exacts.append(pairing_extended(basis_poly4(la, ctx), basis_poly4(lb, ctx), ctx))
+    estimates = mc_inner_products(images, cfg)
+    for (name, _, _), exact, (est, se) in zip(pairs, exacts, estimates):
         checks.append(mc_report(name, cfg, est, se, exact))
         tol = max(3 * se, 0.02 * abs(float(exact)))
         ok = ok and abs(est - float(exact)) <= tol

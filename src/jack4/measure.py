@@ -8,6 +8,12 @@ with dm the standard Gaussian, y_0 = (x_1 + x_2 + x_3 + x_4)/2, and c the
 closed-form normalization constant.  This module is the only place floating
 point is allowed: it supplies the constant, its Selberg-product reduction,
 and seeded Monte Carlo estimates of integrals of polynomial products.
+
+``mc_inner_products`` estimates several products from one sample: each batch
+of Gaussian points is drawn and weighted once, and every (f, g) pair is
+integrated against it.  ``mc_inner_product`` is its one-pair case.  The
+seeds depend only on (seed, batch index), so a pair gets the same bits
+whether it is estimated alone or together with others.
 """
 
 from __future__ import annotations
@@ -92,28 +98,36 @@ def _eval_compiled(compiled, x: np.ndarray) -> np.ndarray:
 
 def _weighted_product(weight: np.ndarray, cf, cg, x: np.ndarray) -> np.ndarray:
     """weight * f(x) * g(x), with f evaluated only once when g is f.  The
-    evaluated arrays die with this frame, before the next batch is drawn."""
+    evaluated arrays die with this frame."""
     if cg is cf:
         v = _eval_compiled(cf, x)
         return weight * v * v
     return weight * _eval_compiled(cf, x) * _eval_compiled(cg, x)
 
 
-def mc_inner_product(f: SparsePoly, g: SparsePoly, cfg: McConfig) -> tuple[float, float]:
-    """Monte Carlo estimate of the integral of f*g against dmu.
+def mc_inner_products(
+    pairs: list[tuple[SparsePoly, SparsePoly]], cfg: McConfig
+) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of the integrals of f*g against dmu, one per
+    (f, g) in ``pairs``, all from one shared sample.
 
     Samples x from the standard Gaussian and reweights by c * h(x)^2; returns
-    (estimate, standard_error).  Batches use seeds derived from (seed, batch
-    index), so the result is reproducible and independent of scheduling.
-    When g is f, the polynomial is compiled and evaluated once per batch.
+    one (estimate, standard_error) per pair.  Batches use seeds derived from
+    (seed, batch index), so the result is reproducible and independent of
+    scheduling.  Each batch is drawn and weighted once and then integrated
+    pair by pair; a pair's estimate is the same float as when it is the
+    only pair.  When g is f, the polynomial is compiled and evaluated once
+    per batch.
     """
-    cf = _compile(_as_x_frame(f))
-    cg = cf if g is f else _compile(_as_x_frame(g))
+    compiled = []
+    for f, g in pairs:
+        cf = _compile(_as_x_frame(f))
+        compiled.append((cf, cf if g is f else _compile(_as_x_frame(g))))
     c = normalization_constant(cfg.kappa, cfg.kappa_prime)
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    roots = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
-    total = 0.0
-    total_sq = 0.0
+    total = [0.0] * len(compiled)
+    total_sq = [0.0] * len(compiled)
     done = 0
     batch_index = 0
     while done < cfg.samples:
@@ -124,23 +138,31 @@ def mc_inner_product(f: SparsePoly, g: SparsePoly, cfg: McConfig) -> tuple[float
         x = rng.standard_normal((m, 4))
         weight = np.full(m, c)
         if cfg.kappa:
-            for i, j in pairs:
+            for i, j in roots:
                 weight *= np.abs(x[:, i] - x[:, j]) ** (2 * cfg.kappa)
         if cfg.kappa_prime:
             weight *= np.abs(0.5 * x.sum(axis=1)) ** (2 * cfg.kappa_prime)
-        vals = _weighted_product(weight, cf, cg, x)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        for k, (cf, cg) in enumerate(compiled):
+            vals = _weighted_product(weight, cf, cg, x)
+            total[k] += float(vals.sum())
+            total_sq[k] += float((vals * vals).sum())
+            del vals  # free before the next pair allocates its arrays
         done += m
         batch_index += 1
 
     n = cfg.samples
-    mean = total / n
-    if n > 1:
-        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    else:
-        variance = 0.0
-    return mean, math.sqrt(variance / n)
+    results = []
+    for t, t_sq in zip(total, total_sq):
+        mean = t / n
+        variance = max(0.0, (t_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        results.append((mean, math.sqrt(variance / n)))
+    return results
+
+
+def mc_inner_product(f: SparsePoly, g: SparsePoly, cfg: McConfig) -> tuple[float, float]:
+    """Monte Carlo estimate of the integral of f*g against dmu: the one-pair
+    case of ``mc_inner_products``, returning (estimate, standard_error)."""
+    return mc_inner_products([(f, g)], cfg)[0]
 
 
 def mc_report(labels: str, cfg: McConfig, estimate: float, stderr: float, exact) -> dict:

@@ -210,6 +210,9 @@ GOLDEN_STDOUT = {
         "83fcf74b30b1846b53439cf932e19e711fb2f5313c1ee7f4629633d4f0e4b7a2",
     ("verify", "--suite", "prop1", "--max-degree", "4", "--kappa", "5/7"):
         "f1c419a26d809655061c3a5a84418346fe833d4e182e7c473ea0422ea5b18d0b",
+    # 200000 samples: two batches, so the second one is pinned too
+    ("mc-check", "--kappa", "1/2", "--kappa-prime", "2", "--seed", "7"):
+        "b1256570992d31f3907ab8532e9dfcba924437cef3fa007fb43855c83e046252",
 }
 
 
