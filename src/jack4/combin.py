@@ -66,18 +66,6 @@ def permute_composition(w, alpha) -> Composition:
     return tuple(out)
 
 
-def inverse_permutation(w) -> tuple[int, ...]:
-    out = [0] * len(w)
-    for i, wi in enumerate(w):
-        out[wi] = i
-    return tuple(out)
-
-
-def compose_permutations(w1, w2) -> tuple[int, ...]:
-    """w1 after w2, so that (w1 w2) alpha = w1 (w2 alpha)."""
-    return tuple(w1[w2[i]] for i in range(len(w2)))
-
-
 def sort_to_partition(alpha) -> tuple[Composition, tuple[int, ...]]:
     """Return (alpha+, w) with alpha+ = w alpha under the monomial action.
 

@@ -96,10 +96,12 @@ def symmetric_jack(lam, ctx: ParamContext) -> SparsePoly:
     lam = tuple(int(a) for a in lam)
     if not combin.is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
-    out = SparsePoly.zero(len(lam), x_frame(len(lam)))
+    terms: dict = {}
     for alpha in combin.rearrangements(lam):
-        out = out + combin.e_epsilon(alpha, -1, ctx) * nsjp(alpha, ctx).poly
-    return out
+        e = combin.e_epsilon(alpha, -1, ctx)
+        for exp, c in nsjp(alpha, ctx).poly.terms.items():
+            terms[exp] = terms.get(exp, 0) + e * c
+    return SparsePoly(len(lam), x_frame(len(lam)), terms)
 
 
 def jack_norm(lam, ctx: ParamContext) -> Rat:

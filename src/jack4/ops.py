@@ -29,10 +29,23 @@ kappa_prime appended in the frames with a y_0 root (y0, y4); x-frame and y3
 entries are shared across kappa_prime.  The same memo holds the monomial
 pairings and the records of :func:`jack4.jack.nsjp`.  Every entry is written
 once with one deterministic value, so concurrent get-or-compute is harmless.
+
+The pairings run in integers.  With kappa = p/q and kappa_prime = p'/q', let
+Q = q in the x frames and y3, and Q = lcm(q, q') in y0 and y4.  Then Q D_p
+maps integer coefficients to integers, so Q^|a| <v^a, v^b> is an integer.
+The "pair" entries hold these integers, computed from the integer images
+Q D_p v^b, which are ("QD", p) entries made by the same kernel with the
+weights (Q, Q kappa, Q kappa') under the same key rule.  :class:`Dual` scales
+a polynomial g once to integers, G = den g, and fills its dual vector
+w[a] = sum_b G_b Q^|a| <v^a, v^b> lazily per monomial; pairing f with it is
+one integer dot product per total degree of f and one Fraction at the end.
+:func:`pairing_kappa` and :func:`pairing_extended` are that, and the prop1
+and prop2 suites keep one dual vector per basis element.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -114,16 +127,43 @@ def _add(acc, exp, coef):
         acc.pop(exp, None)
 
 
-def _kernel(p: int, exp, c, rows: tuple, ctx: ParamContext, acc: dict) -> dict:
-    """Add c * D_{e_p} v^exp to acc, over the root table rows; returns acc."""
+def _kernel(p: int, exp, c, rows: tuple, weights: tuple, acc: dict) -> dict:
+    """Add c * D_{e_p} v^exp to acc, over the root table rows, with the
+    weights (derivative, kappa, kappa_prime) of :func:`_weights`; returns acc."""
+    d, k, kp = weights
     if exp[p]:
-        _add(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * exp[p])
+        _add(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * (d * exp[p]))
     for q, s in rows[p]:
-        k = ctx.kappa_prime if q is None else ctx.kappa
-        if k:
+        w = kp if q is None else k
+        if w:
             for e2, sign in _quotient(exp, p, q, s):
-                _add(acc, e2, c * k * sign)
+                _add(acc, e2, c * w * sign)
     return acc
+
+
+def _scale(frame: str, ctx: ParamContext) -> int:
+    """Q = q for kappa = p/q, and lcm(q, q') for kappa_prime = p'/q' in the
+    frames with a y_0 root: Q D_p maps integer coefficients to integers, so
+    Q^|a| <v^a, v^b> is an integer."""
+    if frame in (Y0, Y4):
+        return math.lcm(ctx.kappa.denominator, ctx.kappa_prime.denominator)
+    return ctx.kappa.denominator
+
+
+def _weights(kind: str, frame: str, ctx: ParamContext) -> tuple:
+    """Kernel weights (derivative, kappa, kappa_prime): (1, kappa, kappa')
+    for the operators, and the integers (Q, Q kappa, Q kappa') for the images
+    Q D_p of kind "QD" that the pairing reads.  Q is a multiple of each
+    denominator, so each product is exact."""
+    if kind != "QD":
+        return 1, ctx.kappa, ctx.kappa_prime
+    scale = _scale(frame, ctx)
+    k, kp = ctx.kappa, ctx.kappa_prime
+    return (
+        scale,
+        k.numerator * (scale // k.denominator),
+        kp.numerator * (scale // kp.denominator) if frame in (Y0, Y4) else 0,
+    )
 
 
 class _Images(dict):
@@ -131,25 +171,25 @@ class _Images(dict):
     computed on first lookup.  The inner factors of U and L come from the
     kernel directly; only the outer image is stored."""
 
-    def __init__(self, op: tuple, rows: tuple, ctx: ParamContext):
-        self.op, self.rows, self.ctx = op, rows, ctx
+    def __init__(self, op: tuple, rows: tuple, weights: tuple):
+        self.op, self.rows, self.weights = op, rows, weights
 
     def __missing__(self, exp):
-        (kind, arg), rows, ctx = self.op, self.rows, self.ctx
-        if kind == "D":
-            image = _kernel(arg, exp, 1, rows, ctx, {})
+        (kind, arg), rows, weights = self.op, self.rows, self.weights
+        if kind in ("D", "QD"):
+            image = _kernel(arg, exp, 1, rows, weights, {})
         elif kind == "L":
             image = {}
             for p in arg:
-                for e2, c in _kernel(p, exp, 1, rows, ctx, {}).items():
-                    _kernel(p, e2, c, rows, ctx, image)
+                for e2, c in _kernel(p, exp, 1, rows, weights, {}).items():
+                    _kernel(p, e2, c, rows, weights, image)
         else:  # "U"
             p = arg
-            image = _kernel(p, exp[:p] + (exp[p] + 1,) + exp[p + 1:], 1, rows, ctx, {})
+            image = _kernel(p, exp[:p] + (exp[p] + 1,) + exp[p + 1:], 1, rows, weights, {})
             for q, s in rows[p]:
                 if q is not None and q < p:
                     e2, sign = _reflect(exp, p, q, s)
-                    _add(image, e2, -sign * ctx.kappa)
+                    _add(image, e2, -sign * weights[1])
         self[exp] = image
         return image
 
@@ -167,7 +207,9 @@ def _memo(name, frame: str, nvars: int, ctx: ParamContext) -> dict:
     if entry is None:
         # operator names are tuples; "pair" and "nsjp" hold plain values
         entry = _MEMO_CACHE[key] = (
-            _Images(name, _roots(frame, nvars)[0], ctx) if isinstance(name, tuple) else {}
+            _Images(name, _roots(frame, nvars)[0], _weights(name[0], frame, ctx))
+            if isinstance(name, tuple)
+            else {}
         )
     return entry
 
@@ -315,10 +357,11 @@ def euler(f: SparsePoly) -> SparsePoly:
 # ---------------------------------------------------------------------- pairings
 
 
-def _monomial_pairing(pairs: dict, images: list, a, b) -> Rat:
-    """<v^a, v^b> for monomials of equal degree on every component, by
-    <v^a, v^b> = <v^(a - e_p), D_{e_p} v^b>, p the first position with
-    a_p > 0; the D_{e_p} commute, so any p gives the same value.  D_{e_p}
+def _monomial_pairing(pairs: dict, images: list, a, b) -> int:
+    """Q^|a| <v^a, v^b>, an integer, for monomials of equal degree on every
+    component, by Q^|a| <v^a, v^b> = Q^(|a| - 1) <v^(a - e_p), Q D_{e_p} v^b>,
+    p the first position with a_p > 0; the D_{e_p} commute, so any p gives
+    the same value.  ``images`` are the integer images Q D_{e_p}.  D_{e_p}
     lowers the degree on p's component by one, so the degrees keep agreeing
     all the way down to <1, 1> = 1."""
     key = (a, b)
@@ -327,30 +370,63 @@ def _monomial_pairing(pairs: dict, images: list, a, b) -> Rat:
         return value
     p = next((q for q, e in enumerate(a) if e), None)
     if p is None:
-        value = Fraction(1)
+        value = 1
     else:
         lower = a[:p] + (a[p] - 1,) + a[p + 1:]
-        value = Fraction(0)
+        value = 0
         for c, coef in images[p][b].items():
             value += coef * _monomial_pairing(pairs, images, lower, c)
     pairs[key] = value
     return value
 
 
-def _pairing(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
-    """f(D_{e_1}, ..., D_{e_N}) g at the origin, over the root table of the
-    common frame of f and g."""
-    pairs = _memo("pair", f.frame, f.nvars, ctx)
-    images = [_memo(("D", p), f.frame, f.nvars, ctx) for p in range(f.nvars)]
-    _, blocks = _roots(f.frame, f.nvars)
-    g_by_degree: dict = {}
-    for eb, cb in g.terms.items():
-        g_by_degree.setdefault(tuple(sum(eb[s]) for s in blocks), []).append((eb, cb))
-    total = Fraction(0)
-    for ea, ca in f.terms.items():
-        for eb, cb in g_by_degree.get(tuple(sum(ea[s]) for s in blocks), ()):
-            total += ca * cb * _monomial_pairing(pairs, images, ea, eb)
-    return total
+class Dual(dict):
+    """The dual vector of g for the monomial pairing of its frame.
+
+    g is scaled once to integers, G = den * g with den the least common
+    denominator of its coefficients, and the dual vector is
+
+        w[a] = sum_b G_b Q^|a| <v^a, v^b>   (Q from :func:`_scale`),
+
+    an integer filled on first lookup of the monomial a, from the integer
+    monomial pairings of the memo.  ``by_degree`` keeps G by total degree,
+    for the first argument of :meth:`pair`.
+    """
+
+    def __init__(self, g: SparsePoly, ctx: ParamContext):
+        self.frame, self.nvars = g.frame, g.nvars
+        _, self.blocks = _roots(g.frame, g.nvars)
+        self.scale = _scale(g.frame, ctx)
+        self.den = math.lcm(*(c.denominator for c in g.terms.values()))
+        self.by_degree: dict = {}  # total degree -> [(exp, G_exp)]
+        self.by_blocks: dict = {}  # degree on every component -> [(exp, G_exp)]
+        for exp, c in g.terms.items():
+            term = (exp, c.numerator * (self.den // c.denominator))
+            self.by_degree.setdefault(sum(exp), []).append(term)
+            self.by_blocks.setdefault(tuple(sum(exp[s]) for s in self.blocks), []).append(term)
+        self.pairs = _memo("pair", g.frame, g.nvars, ctx)
+        self.images = [_memo(("QD", p), g.frame, g.nvars, ctx) for p in range(g.nvars)]
+
+    def __missing__(self, a):
+        pairs, images = self.pairs, self.images
+        value = 0
+        for b, n in self.by_blocks.get(tuple(sum(a[s]) for s in self.blocks), ()):
+            value += n * _monomial_pairing(pairs, images, a, b)
+        self[a] = value
+        return value
+
+    def pair(self, f: "Dual") -> Rat:
+        """<f, g> for this dual vector w of g and the integer form F = den_f f:
+        per total degree d, the integer dot product of F with w, which carries
+        the factor Q^d; then one Fraction."""
+        if f.frame != self.frame or f.nvars != self.nvars:
+            raise ValueError("pairing needs matching frames")
+        top = max(f.by_degree, default=0)
+        total = 0
+        for d, terms in f.by_degree.items():
+            if d in self.by_degree:
+                total += self.scale ** (top - d) * sum(n * self[a] for a, n in terms)
+        return Fraction(total, self.scale**top * f.den * self.den)
 
 
 def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
@@ -363,26 +439,30 @@ def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
         <x^a, x^b> = <x^(a - e_i), D_i x^b>,   i the first index with a_i > 0,
 
     so a pairing of degree d is a sum over the terms of one D_i x^b of
-    pairings of degree d - 1.  The images D_i x^b and every pairing met on
-    the way are entries of the operator memo, keyed per (frame, nvars,
-    kappa), so each sub-pairing is computed once and shared by all later
-    pairings at the same kappa, whatever kappa_prime is.
+    pairings of degree d - 1.  With kappa = p/q the recursion runs in
+    integers on Q = q: the memo holds the integer images q D_i x^b and the
+    integers q^|a| <x^a, x^b>, keyed per (frame, nvars, kappa), so each
+    sub-pairing is computed once and shared by all later pairings at the
+    same kappa, whatever kappa_prime is.  The value is the dual vector of g
+    (:class:`Dual`) paired with f: one integer dot product per degree and
+    one Fraction at the end.
     """
     if f.frame != g.frame or f.nvars != g.nvars:
         raise ValueError("pairing needs matching frames")
     if not (is_x_frame(f.frame) or f.frame == Y3):
         raise ValueError(f"pairing_kappa is defined on x frames and y3, got {f.frame!r}")
-    return _pairing(f, g, ctx)
+    return Dual(g, ctx).pair(Dual(f, ctx))
 
 
 def pairing_extended(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     """<f, g>_{kappa, kappa_prime} = f(D'_1, ..., D'_4) g at the origin.
 
     The orthogonal change to y4 carries the D'_i to the Dunkl operators along
-    the y axes, (D0, DB_1, DB_2, DB_3), so this is the memoized recursion of
+    the y axes, (D0, DB_1, DB_2, DB_3), so this is the integer recursion of
     :func:`pairing_kappa` on to_y(f) and to_y(g) over the y4 root table, with
-    kappa_prime in the memo key.  Monomials whose y_0 degrees differ pair to
-    zero without recursing.
+    Q = lcm(q, q') for kappa = p/q and kappa_prime = p'/q', and kappa_prime
+    in the memo key; the dual vector of to_y(g) paired with to_y(f).
+    Monomials whose y_0 degrees differ pair to zero without recursing.
     """
     if f.frame == "x4":
         f = to_y(f)
@@ -390,4 +470,4 @@ def pairing_extended(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
         g = to_y(g)
     if f.frame != Y4 or g.frame != Y4:
         raise ValueError("pairing_extended needs the x4 or y4 frame")
-    return _pairing(f, g, ctx)
+    return Dual(g, ctx).pair(Dual(f, ctx))

@@ -323,7 +323,7 @@ def substitute_linear(f: SparsePoly, forms: list[SparsePoly]) -> SparsePoly:
     """Substitute variable i -> forms[i]; all forms share one target frame.
 
     It expands products of powers of the forms, so it is slow on dense forms;
-    the tests use it with :func:`_hadamard_forms` as the reference for
+    the tests use it with the half-Hadamard forms as the reference for
     :func:`to_y`, :func:`to_x` and the x4 ``sign_change(0)``.
     """
     if len(forms) != f.nvars:
@@ -345,18 +345,6 @@ def substitute_linear(f: SparsePoly, forms: list[SparsePoly]) -> SparsePoly:
                 term = term * power(v, e)
         out = out + term
     return out
-
-
-def _hadamard_forms(src_frame: str, dst_frame: str) -> list[SparsePoly]:
-    half = Fraction(1, 2)
-    forms = []
-    for j in range(4):
-        terms = {}
-        for i in range(4):
-            exp = tuple(1 if v == i else 0 for v in range(4))
-            terms[exp] = half * _HADAMARD[i][j]
-        forms.append(SparsePoly(4, dst_frame, terms))
-    return forms
 
 
 def _pair_weights(a: int, b: int) -> list[int]:
@@ -428,17 +416,7 @@ def substitute_squares(f: SparsePoly) -> SparsePoly:
     return SparsePoly(3, Y3, {tuple(2 * e for e in exp): c for exp, c in f.terms.items()})
 
 
-# ---------------------------------------------------------------------- y0 split
-
-
-def split_y0(f: SparsePoly) -> dict[int, SparsePoly]:
-    """Decompose a y4 polynomial as sum_k y_0^k f_k(y_1, y_2, y_3)."""
-    if f.frame != Y4:
-        raise ValueError("split_y0 expects the y4 frame")
-    parts: dict[int, dict] = {}
-    for exp, coef in f.terms.items():
-        parts.setdefault(exp[0], {})[exp[1:]] = coef
-    return {k: SparsePoly(3, Y3, terms) for k, terms in parts.items()}
+# ---------------------------------------------------------------------- y0 embeddings
 
 
 def embed_y3(f: SparsePoly, y0_power: int = 0) -> SparsePoly:

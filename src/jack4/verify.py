@@ -20,7 +20,7 @@ from .hermite_cs import (
     operator_identities_check,
 )
 from .jack import jack_norm, nsjp, nsjp_eval_ones, nsjp_norm, symmetric_jack
-from .ops import cherednik_a, pairing_extended, pairing_kappa
+from .ops import Dual, cherednik_a, pairing_kappa
 
 
 @dataclass
@@ -98,21 +98,32 @@ def suite_eigen(ctx: ParamContext, max_degree: int) -> SuiteReport:
     return rep
 
 
+def upper_pairings(polys: list, ctx: ParamContext):
+    """(i, j, <polys[i], polys[j]>) for i <= j, in that order, through one
+    dual vector per element: each element is scaled to integers once, and
+    each pairing is one integer dot product (see :class:`jack4.ops.Dual`).
+    The polynomials share an x frame or y3 (the kappa pairing) or y4 (the
+    extended pairing)."""
+    duals = [Dual(f, ctx) for f in polys]
+    for i, f in enumerate(duals):
+        for j in range(i, len(duals)):
+            yield i, j, duals[j].pair(f)
+
+
 def suite_prop1(ctx: ParamContext, max_degree: int) -> SuiteReport:
     """<zeta_a, zeta_b> = delta_ab * closed-form norm, |a|, |b| <= max_degree."""
     rep = SuiteReport("prop1", _params(ctx), max_degree)
     comps = list(combin.compositions_up_to(max_degree, ctx.nvars_a))
-    polys = {alpha: nsjp(alpha, ctx).poly for alpha in comps}
-    for a_idx, alpha in enumerate(comps):
-        for beta in comps[a_idx:]:
-            value = pairing_kappa(polys[alpha], polys[beta], ctx)
-            expected = nsjp_norm(alpha, ctx) if alpha == beta else Fraction(0)
-            rep.record(
-                value == expected,
-                lambda a=alpha, b=beta, v=value, e=expected: (
-                    f"<zeta_{a}, zeta_{b}> = {format_rational(v)}, expected {format_rational(e)}"
-                ),
-            )
+    polys = [nsjp(alpha, ctx).poly for alpha in comps]
+    for i, j, value in upper_pairings(polys, ctx):
+        alpha, beta = comps[i], comps[j]
+        expected = nsjp_norm(alpha, ctx) if i == j else Fraction(0)
+        rep.record(
+            value == expected,
+            lambda a=alpha, b=beta, v=value, e=expected: (
+                f"<zeta_{a}, zeta_{b}> = {format_rational(v)}, expected {format_rational(e)}"
+            ),
+        )
     return rep
 
 
@@ -148,18 +159,17 @@ def suite_prop2(ctx: ParamContext, max_degree: int) -> SuiteReport:
     with the closed-form diagonal norms, under the extended pairing."""
     rep = SuiteReport("prop2", _params(ctx), max_degree)
     labels = basis_labels_up_to(max_degree)
-    polys = {lab: basis_poly4(lab, ctx) for lab in labels}
-    for idx, la in enumerate(labels):
-        for lb in labels[idx:]:
-            value = pairing_extended(polys[la], polys[lb], ctx)
-            expected = basis_norm(la, ctx) if la == lb else Fraction(0)
-            rep.record(
-                value == expected,
-                lambda a=la, b=lb, v=value, e=expected: (
-                    f"<p_{a.gamma} y0^{a.n}, p_{b.gamma} y0^{b.n}> = "
-                    f"{format_rational(v)}, expected {format_rational(e)}"
-                ),
-            )
+    polys = [basis_poly4(lab, ctx) for lab in labels]
+    for i, j, value in upper_pairings(polys, ctx):
+        la, lb = labels[i], labels[j]
+        expected = basis_norm(la, ctx) if i == j else Fraction(0)
+        rep.record(
+            value == expected,
+            lambda a=la, b=lb, v=value, e=expected: (
+                f"<p_{a.gamma} y0^{a.n}, p_{b.gamma} y0^{b.n}> = "
+                f"{format_rational(v)}, expected {format_rational(e)}"
+            ),
+        )
     return rep
 
 

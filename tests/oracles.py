@@ -1,0 +1,121 @@
+"""Test-only reference routes.
+
+Each function here is a slow, direct route that a fast path of jack4 is
+compared against exactly: permutation algebra for the group actions, the
+linear forms of the half-Hadamard change for the butterflies, the y0 split
+for the tensor form of the extended pairing, and the Fraction recursion of
+the monomial pairing for the integer pairing and its dual vectors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from jack4.ops import dunkl_a, dunkl_b, dunkl_d0
+from jack4.poly import _HADAMARD, SparsePoly, is_x_frame
+
+# ---------------------------------------------------------------------- permutations
+
+
+def inverse_permutation(w) -> tuple[int, ...]:
+    out = [0] * len(w)
+    for i, wi in enumerate(w):
+        out[wi] = i
+    return tuple(out)
+
+
+def compose_permutations(w1, w2) -> tuple[int, ...]:
+    """w1 after w2, so that (w1 w2) alpha = w1 (w2 alpha)."""
+    return tuple(w1[w2[i]] for i in range(len(w2)))
+
+
+# ---------------------------------------------------------------------- coordinates
+
+
+def hadamard_forms(src_frame: str, dst_frame: str) -> list[SparsePoly]:
+    """The half-Hadamard change as linear forms in ``dst_frame``, one per
+    variable of ``src_frame``, for ``poly.substitute_linear``."""
+    half = Fraction(1, 2)
+    forms = []
+    for j in range(4):
+        terms = {}
+        for i in range(4):
+            exp = tuple(1 if v == i else 0 for v in range(4))
+            terms[exp] = half * _HADAMARD[i][j]
+        forms.append(SparsePoly(4, dst_frame, terms))
+    return forms
+
+
+def split_y0(f: SparsePoly) -> dict[int, SparsePoly]:
+    """Decompose a y4 polynomial as sum_k y_0^k f_k(y_1, y_2, y_3)."""
+    if f.frame != "y4":
+        raise ValueError("split_y0 expects the y4 frame")
+    parts: dict[int, dict] = {}
+    for exp, coef in f.terms.items():
+        parts.setdefault(exp[0], {})[exp[1:]] = coef
+    return {k: SparsePoly(3, "y3", terms) for k, terms in parts.items()}
+
+
+# ---------------------------------------------------------------------- pairings
+
+
+def _dunkl_at(frame: str, p: int):
+    """The Dunkl operator along the coordinate at position p of a frame."""
+    if is_x_frame(frame):
+        return lambda f, ctx: dunkl_a(p + 1, f, ctx)
+    if frame == "y3":
+        return lambda f, ctx: dunkl_b(p + 1, f, ctx)
+    if frame == "y4":
+        return dunkl_d0 if p == 0 else (lambda f, ctx: dunkl_b(p, f, ctx))
+    raise ValueError(f"no pairing oracle in frame {frame!r}")
+
+
+# Positions of the irreducible components of the root system, where there is
+# more than one: y_0 and (y_1, y_2, y_3) in y4.
+_COMPONENTS = {"y4": (slice(0, 1), slice(1, 4))}
+
+
+def pairing_by_fractions(f: SparsePoly, g: SparsePoly, ctx) -> Fraction:
+    """<f, g> = f(D) g at the origin, in the frame of f and g (an x frame, y3
+    or y4), by the Fraction recursion
+
+        <v^a, v^b> = <v^(a - e_p), D_{e_p} v^b>,   p the first position with a_p > 0,
+
+    memoized within the call, over the monomials whose degrees agree on every
+    component of the root system.  The images D_{e_p} v^b come from the
+    public operators."""
+    frame, nvars = f.frame, f.nvars
+    if g.frame != frame or g.nvars != nvars:
+        raise ValueError("pairing needs matching frames")
+    blocks = _COMPONENTS.get(frame, (slice(0, nvars),))
+    dunkl = [_dunkl_at(frame, p) for p in range(nvars)]
+    images: dict = {}
+    pairs: dict = {}
+
+    def image(p, b):
+        if (p, b) not in images:
+            images[p, b] = dunkl[p](SparsePoly.monomial(b, frame), ctx).terms
+        return images[p, b]
+
+    def monomial_pairing(a, b):
+        if (a, b) not in pairs:
+            p = next((q for q, e in enumerate(a) if e), None)
+            if p is None:
+                value = Fraction(1)
+            else:
+                lower = a[:p] + (a[p] - 1,) + a[p + 1:]
+                value = Fraction(0)
+                for c, coef in image(p, b).items():
+                    value += coef * monomial_pairing(lower, c)
+            pairs[a, b] = value
+        return pairs[a, b]
+
+    def degrees(exp):
+        return tuple(sum(exp[s]) for s in blocks)
+
+    total = Fraction(0)
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            if degrees(ea) == degrees(eb):
+                total += ca * cb * monomial_pairing(ea, eb)
+    return total

@@ -213,6 +213,12 @@ GOLDEN_STDOUT = {
     # 200000 samples: two batches, so the second one is pinned too
     ("mc-check", "--kappa", "1/2", "--kappa-prime", "2", "--seed", "7"):
         "b1256570992d31f3907ab8532e9dfcba924437cef3fa007fb43855c83e046252",
+    # lcm(q, q') = 21 differs from q = 7 in the extended pairing
+    ("verify", "--suite", "prop2", "--max-degree", "3", "--kappa", "5/7",
+     "--kappa-prime", "1/3"):
+        "268637a797aa9e4bac94a64742ed3ae95f9b958c9747e78510d3adfc5a78a6f5",
+    ("verify", "--suite", "jack", "--max-degree", "4", "--kappa", "3/5"):
+        "678cc630e5fe7a2d830a77ba541c6c555bc136c4fa465a919a6b12c4be3adf9f",
 }
 
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from jack4 import combin, ops
+from jack4 import combin, ops, verify
+from jack4.basis4 import basis_poly4
 from jack4.exact import make_context
+from jack4.jack import nsjp
 from jack4.ops import (
     _quotient,
     cherednik_a,
@@ -23,12 +25,18 @@ from jack4.ops import (
     pairing_extended,
     pairing_kappa,
 )
-from jack4.poly import SparsePoly, split_y0, substitute_linear, to_x, to_y
+from jack4.poly import SparsePoly, substitute_linear, to_x, to_y
+from oracles import pairing_by_fractions, split_y0
 
 KAPPAS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(5, 7))
 PARAM_PAIRS = tuple(
     (k, kp) for k in (Fraction(1, 2), Fraction(1)) for kp in (Fraction(1, 2), Fraction(2))
 )
+
+# The conftest grid, and a pair where lcm(q, q') = 21 is not q = 7.
+ORACLE_PARAMS = tuple(dict.fromkeys(
+    tuple((k, Fraction(1, 2)) for k in KAPPAS) + PARAM_PAIRS + ((Fraction(5, 7), Fraction(1, 3)),)
+))
 
 X = sympy.symbols("v1 v2 v3")
 KSYM = sympy.Symbol("kappa")
@@ -674,6 +682,83 @@ def test_pairing_extended_matches_tensor_split():
         assert sum(1 for v in expected if v) >= 20
         assert [pairing_extended(f, g, ctx) for f, g in pairs] == expected
         assert [pairing_extended(g, f, ctx) for f, g in pairs] == expected
+
+
+def oracle_cases(rng, nvars, frame, count, max_degree):
+    """Seeded (f, g) pairs, not homogeneous: g shares f's total degrees,
+    spread its own way over the variables, plus one degree of its own."""
+
+    def exponent(degree):
+        e = [0] * nvars
+        for _ in range(degree):
+            e[rng.randrange(nvars)] += 1
+        return tuple(e)
+
+    def coef():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+    cases = []
+    for _ in range(count):
+        degrees = [rng.randint(0, max_degree) for _ in range(rng.randint(1, 4))]
+        f = SparsePoly(nvars, frame, {exponent(d): coef() for d in degrees})
+        extra = [rng.randint(0, max_degree)]
+        g = SparsePoly(nvars, frame, {exponent(d): coef() for d in degrees * 2 + extra})
+        cases.append((f, g))
+    return cases
+
+
+def test_integer_pairing_matches_fraction_oracle():
+    rng = random.Random(1729)
+    cases = {
+        "x3": oracle_cases(rng, 3, "x3", 25, 5),
+        "y3": oracle_cases(rng, 3, "y3", 25, 5),
+        "y4": oracle_cases(rng, 4, "y4", 25, 4),
+    }
+    expected = {}
+    for kappa, kp in ORACLE_PARAMS:
+        ctx = make_context(kappa, kp, 3)
+        clear_memo()
+        expected[kappa, kp] = {
+            frame: [pairing_by_fractions(f, g, ctx) for f, g in pairs]
+            for frame, pairs in cases.items()
+        }
+        for values in expected[kappa, kp].values():
+            assert sum(1 for v in values if v) >= 12
+    clear_memo()
+    # the memo stays warm from one parameter pair to the next
+    for kappa, kp in ORACLE_PARAMS:
+        ctx = make_context(kappa, kp, 3)
+        want = expected[kappa, kp]
+        for frame in ("x3", "y3"):
+            assert [pairing_kappa(f, g, ctx) for f, g in cases[frame]] == want[frame]
+            assert [pairing_kappa(g, f, ctx) for f, g in cases[frame]] == want[frame]
+        y4 = cases["y4"]
+        assert [pairing_extended(f, g, ctx) for f, g in y4] == want["y4"]
+        assert [pairing_extended(g, f, ctx) for f, g in y4] == want["y4"]
+        assert [pairing_extended(to_x(f), g, ctx) for f, g in y4] == want["y4"]
+        assert [pairing_extended(to_x(g), to_x(f), ctx) for f, g in y4] == want["y4"]
+
+
+@pytest.mark.parametrize("suite", ("prop1", "prop2"))
+def test_dual_route_matches_per_pair_pairings(suite):
+    for kappa, kp in ((Fraction(1, 2), Fraction(2)), (Fraction(5, 7), Fraction(1, 3))):
+        ctx = make_context(kappa, kp, 3)
+        if suite == "prop1":
+            polys = [nsjp(alpha, ctx).poly for alpha in combin.compositions_up_to(3, 3)]
+            pairing = pairing_kappa
+        else:
+            polys = [basis_poly4(label, ctx) for label in verify.basis_labels_up_to(3)]
+            pairing = pairing_extended
+        # orthogonal families pair to 0 off the diagonal; mixtures of
+        # elements of different degrees do not
+        polys += [Fraction(2, 3) * polys[i] + polys[-1 - i] for i in range(1, 6)]
+        got = list(verify.upper_pairings(polys, ctx))
+        n = len(polys)
+        assert [(i, j) for i, j, _ in got] == [(i, j) for i in range(n) for j in range(i, n)]
+        values = [v for _, _, v in got]
+        assert values == [pairing(polys[i], polys[j], ctx) for i, j, _ in got]
+        assert values == [pairing_by_fractions(polys[i], polys[j], ctx) for i, j, _ in got]
+        assert sum(1 for i, j, v in got if v and i != j) >= 10
 
 
 def test_parity_separation(ctx):

@@ -12,17 +12,16 @@ from jack4 import combin
 from jack4.ops import dunkl_a, dunkl_prime
 from jack4.poly import (
     SparsePoly,
-    _hadamard_forms,
     embed_y0,
     embed_y3,
     poly_from_json,
     poly_to_json,
-    split_y0,
     substitute_linear,
     substitute_squares,
     to_x,
     to_y,
 )
+from oracles import compose_permutations, hadamard_forms, split_y0
 
 
 def xvar(i, nvars=3):
@@ -169,14 +168,14 @@ def test_permutation_group_action():
     monos = [SparsePoly.monomial(e, "x3") for e in combin.compositions_up_to(3, 3)]
     for w1 in perms3:
         for w2 in perms3:
-            comp = combin.compose_permutations(w1, w2)
+            comp = compose_permutations(w1, w2)
             for f in monos:
                 assert f.apply_permutation(w2).apply_permutation(w1) == f.apply_permutation(comp)
     perms4 = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (1, 2, 3, 0)]
     monos4 = [SparsePoly.monomial(e, "x4") for e in combin.compositions_up_to(3, 4)]
     for w1 in perms4:
         for w2 in perms4:
-            comp = combin.compose_permutations(w1, w2)
+            comp = compose_permutations(w1, w2)
             for f in monos4:
                 assert f.apply_permutation(w2).apply_permutation(w1) == f.apply_permutation(comp)
 
@@ -258,12 +257,12 @@ def oracle_dunkl_prime(i, f, ctx):
     """D'_i through sign_change(0), to_y and to_x, all by linear substitution."""
     out = dunkl_a(i, f, ctx)
     if ctx.kappa_prime:
-        diff = substitute_linear(f - oracle_sign_change_x4(f), _hadamard_forms("x4", "y4"))
+        diff = substitute_linear(f - oracle_sign_change_x4(f), hadamard_forms("x4", "y4"))
         acc = {}
         for exp, c in diff.terms.items():
             assert exp[0] % 2 == 1
             acc[(exp[0] - 1,) + exp[1:]] = c * ctx.kappa_prime / 2
-        out = out + substitute_linear(SparsePoly(4, "y4", acc), _hadamard_forms("y4", "x4"))
+        out = out + substitute_linear(SparsePoly(4, "y4", acc), hadamard_forms("y4", "x4"))
     return out
 
 
@@ -272,7 +271,7 @@ def test_butterfly_matches_substitution():
     for _ in range(40):
         for frame, fast, dst in (("x4", to_y, "y4"), ("y4", to_x, "x4")):
             f = random_poly4(rng, frame)
-            expected = substitute_linear(f, _hadamard_forms(frame, dst))
+            expected = substitute_linear(f, hadamard_forms(frame, dst))
             got = fast(f)
             assert got == expected
             assert list(got.terms) == list(expected.terms)
