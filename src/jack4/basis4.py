@@ -20,7 +20,7 @@ from typing import NamedTuple
 from . import combin
 from .exact import ParamContext, Rat
 from .jack import jack_norm, nsjp, symmetric_jack
-from .ops import pairing_kappa
+from .ops import _memo, pairing_kappa
 from .poly import SparsePoly, Y3, embed_y3, substitute_squares
 
 # Order-preserving shuffles for each parity set E, as 0-based image tuples:
@@ -77,11 +77,17 @@ def basis_poly(gamma, ctx: ParamContext) -> SparsePoly:
 
 
 def basis_poly4(label: BasisLabel, ctx: ParamContext) -> SparsePoly:
-    """p_gamma(y) * y_0^n embedded in the y4 frame."""
+    """p_gamma(y) * y_0^n embedded in the y4 frame; it does not depend on
+    kappa_prime, so it is memoized per (label, kappa) like :func:`gamma_norm`."""
     gamma, n = label
     if n < 0:
         raise ValueError("y0 exponent must be nonnegative")
-    return embed_y3(basis_poly(gamma, ctx), y0_power=n)
+    polys = _memo("basis_poly4", Y3, 3, ctx)
+    key = (tuple(gamma), n)
+    f = polys.get(key)
+    if f is None:
+        f = polys[key] = embed_y3(basis_poly(gamma, ctx), y0_power=n)
+    return f
 
 
 def y0_power_norm(n: int, ctx: ParamContext) -> Rat:
@@ -99,15 +105,25 @@ def y0_power_norm(n: int, ctx: ParamContext) -> Rat:
 def gamma_norm(gamma, ctx: ParamContext) -> Rat:
     """Closed-form squared norm of p_gamma under the three-variable pairing:
     2^{|beta|} (3 kappa + 1)_{alpha+} (2 kappa + 1/2)_{(beta-alpha)+}
-    * h(alpha, 1) / h(alpha, kappa + 1)."""
-    d = decompose_label(gamma)
-    alpha_plus, _ = combin.sort_to_partition(d.alpha)
-    diff_plus, _ = combin.sort_to_partition(tuple(b - a for b, a in zip(d.beta, d.alpha)))
-    value = Fraction(2) ** combin.weight(d.beta)
-    value *= combin.gen_pochhammer(alpha_plus, 3 * ctx.kappa + 1, ctx)
-    value *= combin.gen_pochhammer(diff_plus, 2 * ctx.kappa + Fraction(1, 2), ctx)
-    value *= combin.hook_product(d.alpha, 1, ctx)
-    value /= combin.hook_product(d.alpha, ctx.kappa + 1, ctx)
+    * h(alpha, 1) / h(alpha, kappa + 1).
+
+    Each factor is one of the integer closed forms of :mod:`jack4.combin`.
+    The value does not depend on kappa_prime, so it is memoized once per
+    (gamma, kappa) in ``ops._MEMO_CACHE`` under the y3 key rule, and shared
+    by every kappa_prime of :func:`basis_norm`."""
+    norms = _memo("gamma_norm", Y3, 3, ctx)
+    gamma = tuple(gamma)
+    value = norms.get(gamma)
+    if value is None:
+        d = decompose_label(gamma)
+        alpha_plus, _ = combin.sort_to_partition(d.alpha)
+        diff_plus, _ = combin.sort_to_partition(tuple(b - a for b, a in zip(d.beta, d.alpha)))
+        value = Fraction(2) ** combin.weight(d.beta)
+        value *= combin.gen_pochhammer(alpha_plus, 3 * ctx.kappa + 1, ctx)
+        value *= combin.gen_pochhammer(diff_plus, 2 * ctx.kappa + Fraction(1, 2), ctx)
+        value *= combin.hook_product(d.alpha, 1, ctx)
+        value /= combin.hook_product(d.alpha, ctx.kappa + 1, ctx)
+        norms[gamma] = value
     return value
 
 

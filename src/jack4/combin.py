@@ -1,6 +1,15 @@
-"""Compositions, partitions, the dominance order, ranks and spectral vectors,
+"""Compositions, partitions, the canonical order, ranks and spectral vectors,
 Ferrers-diagram leg lengths and hook products, generalized Pochhammer symbols,
 and the symmetrization coefficients attached to rearrangements.
+
+The closed forms run in integers.  Each of their factors is affine in kappa:
+with kappa = p/q and t = t_n/t_d, the factor a + t + kappa L is the integer
+a t_d q + t_n q + p L t_d over t_d q, and a factor 1 + eps kappa / (c kappa + a)
+of E_eps is (c p + a q + eps p) / (c p + a q).  :func:`hook_product`,
+:func:`rising_factorial`, :func:`gen_pochhammer`, :func:`e_epsilon` and
+:func:`spectral_vector` multiply the integer numerators and denominators and
+build one Fraction at the end.  ``t`` may be an int, a Fraction or an exact
+string; a binary float raises ValueError.
 
 A composition is a tuple of nonnegative integers.  Node and operator indices
 (the ``i`` of ``rank`` and the ``(i, j)`` of ``leg_length``) are 1-based, as
@@ -16,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
-from .exact import ParamContext, Rat
+from .exact import ParamContext, Rat, as_rational
 
 Composition = tuple[int, ...]
 
@@ -79,41 +88,13 @@ def sort_to_partition(alpha) -> tuple[Composition, tuple[int, ...]]:
     return part, w
 
 
-def partial_dominates(a, b) -> bool:
-    """a > b in the prefix-sum order: a != b and all partial sums of a >= those of b."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    if tuple(a) == tuple(b):
-        return False
-    sa = sb = 0
-    for x, y in zip(a, b):
-        sa += x
-        sb += y
-        if sa < sb:
-            return False
-    return True
-
-
-def dominates(a, b) -> bool:
-    """The strict order used for triangularity: |a| = |b| and either a+ > b+
-    in the prefix-sum order, or a+ = b+ and a > b."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    if weight(a) != weight(b):
-        return False
-    ap = tuple(sorted(a, reverse=True))
-    bp = tuple(sorted(b, reverse=True))
-    if ap != bp:
-        return partial_dominates(ap, bp)
-    return partial_dominates(a, b)
-
-
 def canonical_key(alpha) -> tuple:
     """Sort key for the total order refining dominance: total degree, then the
     sorted rearrangement lexicographically, then the composition itself.
 
     Lexicographic comparison refines prefix-sum dominance on equal-weight
-    tuples, so ``dominates(a, b)`` implies ``canonical_key(a) > canonical_key(b)``.
+    tuples, so if a dominates b (|a| = |b| and either a+ > b+ in the prefix-sum
+    order, or a+ = b+ and a > b) then ``canonical_key(a) > canonical_key(b)``.
     """
     return (weight(alpha), tuple(sorted(alpha, reverse=True)), tuple(alpha))
 
@@ -124,7 +105,8 @@ def spectral_vector(alpha, ctx: ParamContext) -> tuple[Rat, ...]:
         raise ValueError(f"composition length {len(alpha)} != context nvars {ctx.nvars_a}")
     n = len(alpha)
     r = ranks(alpha)
-    return tuple(Fraction(n - r[i]) * ctx.kappa + alpha[i] + 1 for i in range(n))
+    p, q = ctx.kappa.as_integer_ratio()
+    return tuple(Fraction((n - r[i]) * p + (alpha[i] + 1) * q, q) for i in range(n))
 
 
 def leg_length(alpha, i: int, j: int) -> int:
@@ -141,21 +123,24 @@ def leg_length(alpha, i: int, j: int) -> int:
 def hook_product(alpha, t, ctx: ParamContext) -> Rat:
     """h(alpha, t): product over nodes (i, j), 1 <= j <= alpha_i, of
     alpha_i - j + t + kappa * L(alpha; i, j).  Empty product is 1."""
-    t = Fraction(t)
-    out = Fraction(1)
+    tn, td = as_rational(t).as_integer_ratio()
+    p, q = ctx.kappa.as_integer_ratio()
+    num = den = 1
     for i in range(1, comp_length(alpha) + 1):
         for j in range(1, alpha[i - 1] + 1):
-            out *= alpha[i - 1] - j + t + ctx.kappa * leg_length(alpha, i, j)
-    return out
+            num *= ((alpha[i - 1] - j) * td + tn) * q + p * td * leg_length(alpha, i, j)
+            den *= td * q
+    return Fraction(num, den)
 
 
 def rising_factorial(t, n: int) -> Rat:
     """Ordinary Pochhammer symbol (t)_n = t (t+1) ... (t+n-1)."""
-    t = Fraction(t)
-    out = Fraction(1)
+    tn, td = as_rational(t).as_integer_ratio()
+    num = den = 1
     for j in range(n):
-        out *= t + j
-    return out
+        num *= tn + j * td
+        den *= td
+    return Fraction(num, den)
 
 
 def gen_pochhammer(lam, t, ctx: ParamContext) -> Rat:
@@ -163,11 +148,14 @@ def gen_pochhammer(lam, t, ctx: ParamContext) -> Rat:
     (t - (i-1) kappa + j), for a partition lambda."""
     if not is_partition(lam):
         raise ValueError(f"{tuple(lam)} is not a partition")
-    t = Fraction(t)
-    out = Fraction(1)
+    tn, td = as_rational(t).as_integer_ratio()
+    p, q = ctx.kappa.as_integer_ratio()
+    num = den = 1
     for i, part in enumerate(lam):
-        out *= rising_factorial(t - i * ctx.kappa, part)
-    return out
+        for j in range(part):
+            num *= (tn + j * td) * q - i * p * td
+            den *= td * q
+    return Fraction(num, den)
 
 
 def e_epsilon(alpha, eps: int, ctx: ParamContext) -> Rat:
@@ -176,13 +164,15 @@ def e_epsilon(alpha, eps: int, ctx: ParamContext) -> Rat:
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
     r = ranks(alpha)
-    out = Fraction(1)
+    p, q = ctx.kappa.as_integer_ratio()
+    num = den = 1
     for i in range(len(alpha)):
         for j in range(i + 1, len(alpha)):
             if alpha[i] < alpha[j]:
-                denom = Fraction(r[i] - r[j]) * ctx.kappa + alpha[j] - alpha[i]
-                out *= 1 + Fraction(eps) * ctx.kappa / denom
-    return out
+                d = (r[i] - r[j]) * p + (alpha[j] - alpha[i]) * q
+                num *= d + eps * p
+                den *= d
+    return Fraction(num, den)
 
 
 def orbit_count(lam) -> int:

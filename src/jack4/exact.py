@@ -12,6 +12,7 @@ from fractions import Fraction
 __all__ = [
     "Rat",
     "rational",
+    "as_rational",
     "parse_rational",
     "format_rational",
     "ParamContext",
@@ -26,6 +27,15 @@ def rational(p: int, q: int = 1) -> Rat:
     if q == 0:
         raise ValueError("zero denominator")
     return Fraction(p, q)
+
+
+def as_rational(value) -> Rat:
+    """value as a Fraction; a binary float is refused rather than rounded."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise ValueError(f"{value!r} is a float; pass an exact value")
+    return Fraction(value)
 
 
 def parse_rational(text: str) -> Rat:
@@ -66,10 +76,8 @@ def make_context(kappa, kappa_prime=0, nvars: int = 3) -> ParamContext:
     binary floats are refused, since 0.1 would silently become
     3602879701896397/2^55.
     """
-    if isinstance(kappa, float) or isinstance(kappa_prime, float):
-        raise ValueError("parameters must be exact (int, Fraction or string), not float")
-    k = Fraction(kappa)
-    kp = Fraction(kappa_prime)
+    k = as_rational(kappa)
+    kp = as_rational(kappa_prime)
     if k < 0 or kp < 0:
         raise ValueError("parameters must be nonnegative")
     if nvars < 2:

@@ -75,7 +75,10 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
 
 
 def nsjp_norm(alpha, ctx: ParamContext) -> Rat:
-    """<zeta_alpha, zeta_alpha>_kappa = (N kappa + 1)_{alpha+} h(alpha, 1) / h(alpha, kappa + 1)."""
+    """<zeta_alpha, zeta_alpha>_kappa = (N kappa + 1)_{alpha+} h(alpha, 1) / h(alpha, kappa + 1).
+
+    Each factor is one of the integer closed forms of :mod:`jack4.combin`.
+    :func:`nsjp` computes it once per record, as ``NsjpRecord.norm``."""
     n = len(alpha)
     plus, _ = combin.sort_to_partition(alpha)
     top = combin.gen_pochhammer(plus, n * ctx.kappa + 1, ctx)
@@ -92,16 +95,22 @@ def nsjp_eval_ones(alpha, ctx: ParamContext) -> Rat:
 
 def symmetric_jack(lam, ctx: ParamContext) -> SparsePoly:
     """j_lambda = sum over rearrangements alpha of lambda of E_{-1}(alpha) zeta_alpha;
-    symmetric with leading monomial x^lambda."""
+    symmetric with leading monomial x^lambda.  Memoized per (lambda, kappa)
+    next to the nsjp records."""
     lam = tuple(int(a) for a in lam)
     if not combin.is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
-    terms: dict = {}
-    for alpha in combin.rearrangements(lam):
-        e = combin.e_epsilon(alpha, -1, ctx)
-        for exp, c in nsjp(alpha, ctx).poly.terms.items():
-            terms[exp] = terms.get(exp, 0) + e * c
-    return SparsePoly(len(lam), x_frame(len(lam)), terms)
+    frame = x_frame(len(lam))
+    jacks = _memo("jack", frame, len(lam), ctx)
+    j = jacks.get(lam)
+    if j is None:
+        terms: dict = {}
+        for alpha in combin.rearrangements(lam):
+            e = combin.e_epsilon(alpha, -1, ctx)
+            for exp, c in nsjp(alpha, ctx).poly.terms.items():
+                terms[exp] = terms.get(exp, 0) + e * c
+        j = jacks[lam] = SparsePoly(len(lam), frame, terms)
+    return j
 
 
 def jack_norm(lam, ctx: ParamContext) -> Rat:

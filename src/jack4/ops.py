@@ -27,7 +27,9 @@ image is computed once and kept in the one memo _MEMO_CACHE, keyed by
 ("D", p), ("U", p) or ("L", positions) with frame, nvars and kappa, and
 kappa_prime appended in the frames with a y_0 root (y0, y4); x-frame and y3
 entries are shared across kappa_prime.  The same memo holds the monomial
-pairings and the records of :func:`jack4.jack.nsjp`.  Every entry is written
+pairings, the records of :func:`jack4.jack.nsjp` and the symmetric Jacks, and,
+under the y3 key (kappa only), the kappa_prime-free basis polynomials and
+norms of :mod:`jack4.basis4`.  Every entry is written
 once with one deterministic value, so concurrent get-or-compute is harmless.
 
 The pairings run in integers.  With kappa = p/q and kappa_prime = p'/q', let
@@ -38,7 +40,8 @@ Q D_p v^b, which are ("QD", p) entries made by the same kernel with the
 weights (Q, Q kappa, Q kappa') under the same key rule.  :class:`Dual` scales
 a polynomial g once to integers, G = den g, and fills its dual vector
 w[a] = sum_b G_b Q^|a| <v^a, v^b> lazily per monomial; pairing f with it is
-one integer dot product per total degree of f and one Fraction at the end.
+one integer dot product per group of component degrees that f and g share,
+and one Fraction at the end.
 :func:`pairing_kappa` and :func:`pairing_extended` are that, and the prop1
 and prop2 suites keep one dual vector per basis element.
 """
@@ -389,8 +392,10 @@ class Dual(dict):
         w[a] = sum_b G_b Q^|a| <v^a, v^b>   (Q from :func:`_scale`),
 
     an integer filled on first lookup of the monomial a, from the integer
-    monomial pairings of the memo.  ``by_degree`` keeps G by total degree,
-    for the first argument of :meth:`pair`.
+    monomial pairings of the memo.  ``by_blocks`` keeps G grouped by the
+    degree on every component of the root system: only monomials of the same
+    group pair nonzero, so w[a] is a sum over a's group of g, and :meth:`pair`
+    walks only the groups of f that g shares.
     """
 
     def __init__(self, g: SparsePoly, ctx: ParamContext):
@@ -398,11 +403,9 @@ class Dual(dict):
         _, self.blocks = _roots(g.frame, g.nvars)
         self.scale = _scale(g.frame, ctx)
         self.den = math.lcm(*(c.denominator for c in g.terms.values()))
-        self.by_degree: dict = {}  # total degree -> [(exp, G_exp)]
         self.by_blocks: dict = {}  # degree on every component -> [(exp, G_exp)]
         for exp, c in g.terms.items():
             term = (exp, c.numerator * (self.den // c.denominator))
-            self.by_degree.setdefault(sum(exp), []).append(term)
             self.by_blocks.setdefault(tuple(sum(exp[s]) for s in self.blocks), []).append(term)
         self.pairs = _memo("pair", g.frame, g.nvars, ctx)
         self.images = [_memo(("QD", p), g.frame, g.nvars, ctx) for p in range(g.nvars)]
@@ -417,15 +420,15 @@ class Dual(dict):
 
     def pair(self, f: "Dual") -> Rat:
         """<f, g> for this dual vector w of g and the integer form F = den_f f:
-        per total degree d, the integer dot product of F with w, which carries
-        the factor Q^d; then one Fraction."""
+        per group of F that g shares, the integer dot product of F with w,
+        which carries the factor Q^d of its total degree d; then one Fraction."""
         if f.frame != self.frame or f.nvars != self.nvars:
             raise ValueError("pairing needs matching frames")
-        top = max(f.by_degree, default=0)
+        top = max(map(sum, f.by_blocks), default=0)
         total = 0
-        for d, terms in f.by_degree.items():
-            if d in self.by_degree:
-                total += self.scale ** (top - d) * sum(n * self[a] for a, n in terms)
+        for key, terms in f.by_blocks.items():
+            if key in self.by_blocks:
+                total += self.scale ** (top - sum(key)) * sum(n * self[a] for a, n in terms)
         return Fraction(total, self.scale**top * f.den * self.den)
 
 

@@ -27,7 +27,7 @@ import math
 from fractions import Fraction
 
 from . import combin
-from .exact import Rat, format_rational, parse_rational
+from .exact import Rat, as_rational, format_rational, parse_rational
 
 X4 = "x4"
 Y4 = "y4"
@@ -80,13 +80,6 @@ def var_names(frame: str, nvars: int) -> list[str]:
     return ["t"]
 
 
-def _exact(coef) -> Fraction:
-    """coef as a Fraction; a binary float is refused rather than rounded."""
-    if isinstance(coef, float):
-        raise ValueError(f"coefficient {coef!r} is a float; pass an exact value")
-    return Fraction(coef)
-
-
 class SparsePoly:
     """A finite map from exponent vectors to nonzero rational coefficients.
 
@@ -106,7 +99,7 @@ class SparsePoly:
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for nvars={nvars}")
             if type(coef) is not Fraction:
-                coef = _exact(coef)
+                coef = as_rational(coef)
             c = merged.get(exp, Fraction(0)) + coef
             if c:
                 merged[exp] = c
@@ -196,14 +189,14 @@ class SparsePoly:
         return SparsePoly(self.nvars, self.frame, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SparsePoly) else -_exact(other))
+        return self + (-other if isinstance(other, SparsePoly) else -as_rational(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            c = _exact(other)
+            c = as_rational(other)
             return SparsePoly(self.nvars, self.frame, {e: c * v for e, v in self.terms.items()})
         self._require_same_shape(other)
         terms: dict[tuple[int, ...], Fraction] = {}

@@ -9,7 +9,6 @@ exact: any nonzero discrepancy is a failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import combin
 from .basis4 import BasisLabel, basis_norm, basis_poly4, invariant_F
@@ -19,7 +18,7 @@ from .hermite_cs import (
     hermite_basis,
     operator_identities_check,
 )
-from .jack import jack_norm, nsjp, nsjp_eval_ones, nsjp_norm, symmetric_jack
+from .jack import jack_norm, nsjp, nsjp_eval_ones, symmetric_jack
 from .ops import Dual, cherednik_a, pairing_kappa
 
 
@@ -114,10 +113,10 @@ def suite_prop1(ctx: ParamContext, max_degree: int) -> SuiteReport:
     """<zeta_a, zeta_b> = delta_ab * closed-form norm, |a|, |b| <= max_degree."""
     rep = SuiteReport("prop1", _params(ctx), max_degree)
     comps = list(combin.compositions_up_to(max_degree, ctx.nvars_a))
-    polys = [nsjp(alpha, ctx).poly for alpha in comps]
-    for i, j, value in upper_pairings(polys, ctx):
+    records = [nsjp(alpha, ctx) for alpha in comps]
+    for i, j, value in upper_pairings([rec.poly for rec in records], ctx):
         alpha, beta = comps[i], comps[j]
-        expected = nsjp_norm(alpha, ctx) if i == j else Fraction(0)
+        expected = records[i].norm if i == j else 0
         rep.record(
             value == expected,
             lambda a=alpha, b=beta, v=value, e=expected: (
@@ -162,7 +161,7 @@ def suite_prop2(ctx: ParamContext, max_degree: int) -> SuiteReport:
     polys = [basis_poly4(lab, ctx) for lab in labels]
     for i, j, value in upper_pairings(polys, ctx):
         la, lb = labels[i], labels[j]
-        expected = basis_norm(la, ctx) if i == j else Fraction(0)
+        expected = basis_norm(la, ctx) if i == j else 0
         rep.record(
             value == expected,
             lambda a=la, b=lb, v=value, e=expected: (

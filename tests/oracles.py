@@ -2,15 +2,18 @@
 
 Each function here is a slow, direct route that a fast path of jack4 is
 compared against exactly: permutation algebra for the group actions, the
-linear forms of the half-Hadamard change for the butterflies, the y0 split
-for the tensor form of the extended pairing, and the Fraction recursion of
-the monomial pairing for the integer pairing and its dual vectors.
+dominance order that the canonical order refines, the Fraction products of
+the closed forms for their integer versions, the linear forms of the
+half-Hadamard change for the butterflies, the y0 split for the tensor form
+of the extended pairing, and the Fraction recursion of the monomial pairing
+for the integer pairing and its dual vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
 from jack4.ops import dunkl_a, dunkl_b, dunkl_d0
 from jack4.poly import _HADAMARD, SparsePoly, is_x_frame
 
@@ -27,6 +30,94 @@ def inverse_permutation(w) -> tuple[int, ...]:
 def compose_permutations(w1, w2) -> tuple[int, ...]:
     """w1 after w2, so that (w1 w2) alpha = w1 (w2 alpha)."""
     return tuple(w1[w2[i]] for i in range(len(w2)))
+
+
+# ---------------------------------------------------------------------- dominance
+
+
+def partial_dominates(a, b) -> bool:
+    """a > b in the prefix-sum order: a != b and all partial sums of a >= those of b."""
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    if tuple(a) == tuple(b):
+        return False
+    sa = sb = 0
+    for x, y in zip(a, b):
+        sa += x
+        sb += y
+        if sa < sb:
+            return False
+    return True
+
+
+def dominates(a, b) -> bool:
+    """The strict order used for triangularity: |a| = |b| and either a+ > b+
+    in the prefix-sum order, or a+ = b+ and a > b."""
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    if weight(a) != weight(b):
+        return False
+    ap = tuple(sorted(a, reverse=True))
+    bp = tuple(sorted(b, reverse=True))
+    if ap != bp:
+        return partial_dominates(ap, bp)
+    return partial_dominates(a, b)
+
+
+# ---------------------------------------------------------------------- closed forms
+
+
+def spectral_vector(alpha, ctx) -> tuple[Fraction, ...]:
+    """xi_i(alpha) = (N - r(alpha, i)) kappa + alpha_i + 1, in Fractions."""
+    n = len(alpha)
+    r = ranks(alpha)
+    return tuple(Fraction(n - r[i]) * ctx.kappa + alpha[i] + 1 for i in range(n))
+
+
+def hook_product(alpha, t, ctx) -> Fraction:
+    """h(alpha, t) = prod over nodes (i, j) of alpha_i - j + t + kappa L(alpha; i, j),
+    one Fraction product per node."""
+    t = Fraction(t)
+    out = Fraction(1)
+    for i in range(1, comp_length(alpha) + 1):
+        for j in range(1, alpha[i - 1] + 1):
+            out *= alpha[i - 1] - j + t + ctx.kappa * leg_length(alpha, i, j)
+    return out
+
+
+def rising_factorial(t, n: int) -> Fraction:
+    """(t)_n = t (t+1) ... (t+n-1), one Fraction product per factor."""
+    t = Fraction(t)
+    out = Fraction(1)
+    for j in range(n):
+        out *= t + j
+    return out
+
+
+def gen_pochhammer(lam, t, ctx) -> Fraction:
+    """(t)_lambda = prod_i (t - (i-1) kappa)_{lambda_i}, in Fractions."""
+    if not is_partition(lam):
+        raise ValueError(f"{tuple(lam)} is not a partition")
+    t = Fraction(t)
+    out = Fraction(1)
+    for i, part in enumerate(lam):
+        out *= rising_factorial(t - i * ctx.kappa, part)
+    return out
+
+
+def e_epsilon(alpha, eps: int, ctx) -> Fraction:
+    """E_eps(alpha) = prod over i < j with alpha_i < alpha_j of
+    1 + eps kappa / ((r_i - r_j) kappa + alpha_j - alpha_i), in Fractions."""
+    if eps not in (1, -1):
+        raise ValueError("eps must be +1 or -1")
+    r = ranks(alpha)
+    out = Fraction(1)
+    for i in range(len(alpha)):
+        for j in range(i + 1, len(alpha)):
+            if alpha[i] < alpha[j]:
+                denom = Fraction(r[i] - r[j]) * ctx.kappa + alpha[j] - alpha[i]
+                out *= 1 + Fraction(eps) * ctx.kappa / denom
+    return out
 
 
 # ---------------------------------------------------------------------- coordinates

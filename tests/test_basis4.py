@@ -15,6 +15,8 @@ from jack4.basis4 import (
     invariant_F,
     y0_power_norm,
 )
+from jack4.exact import make_context
+from jack4.jack import symmetric_jack
 from jack4.ops import cherednik_b, dunkl_d0, pairing_extended, pairing_kappa
 from jack4.poly import SparsePoly, Y0, embed_y3, to_x
 
@@ -125,6 +127,17 @@ def test_gamma_norm_examples(ctx_each_pair):
     assert basis_norm(BasisLabel((0, 0, 0), 1), ctx) == 2 * ctx.kappa_prime + 1
     y1 = SparsePoly.variable(0, 3, "y3")
     assert pairing_kappa(y1, y1, ctx) == gamma_norm((1, 0, 0), ctx)
+
+
+def test_kappa_prime_free_values_are_shared(ctx):
+    # p_gamma y0^n, gamma_norm and j_lambda depend on kappa only: one memo
+    # entry serves every kappa_prime
+    other = make_context(ctx.kappa, ctx.kappa_prime + 1, 3)
+    label = BasisLabel((1, 0, 2), 1)
+    assert basis_poly4(label, other) is basis_poly4(label, ctx)
+    assert basis_poly4(BasisLabel([1, 0, 2], 1), ctx) is basis_poly4(label, ctx)
+    assert gamma_norm((1, 0, 2), other) is gamma_norm((1, 0, 2), ctx)
+    assert symmetric_jack((2, 1, 0), other) is symmetric_jack((2, 1, 0), ctx)
 
 
 def test_basis_norm_against_pairing_sample(ctx_each_pair):

@@ -219,6 +219,13 @@ GOLDEN_STDOUT = {
         "268637a797aa9e4bac94a64742ed3ae95f9b958c9747e78510d3adfc5a78a6f5",
     ("verify", "--suite", "jack", "--max-degree", "4", "--kappa", "3/5"):
         "678cc630e5fe7a2d830a77ba541c6c555bc136c4fa465a919a6b12c4be3adf9f",
+    # the closed forms at a kappa with q > 1, and a kappa' with q' > 1
+    ("verify", "--suite", "hooks", "--max-degree", "5", "--kappa", "5/7"):
+        "b3dda8b2d93f91cb5c960ef4a788c57878679e3f500bf00218e978797764ea0c",
+    ("verify", "--suite", "eval-ones", "--max-degree", "5", "--kappa", "5/7"):
+        "f7daa0ed3d81de0bec67f94347d5e6b08384ed0db676daecaf74bbd3f8defb38",
+    ("norm-table", "--max-degree", "4", "--kappa", "5/7", "--kappa-prime", "1/3"):
+        "98ea943259bbd92fd8d8929411405a906bda40cebfdb089d1e392d78d87c0036",
 }
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from jack4 import combin
 from jack4.exact import make_context
-from oracles import compose_permutations, inverse_permutation
+import oracles
+from oracles import compose_permutations, dominates, inverse_permutation
 
 KAPPAS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(5, 7))
 
@@ -67,34 +68,34 @@ def test_sort_permutation_is_rank_map():
 
 
 def test_dominates_examples():
-    assert combin.dominates((2, 6, 4), (5, 4, 3))
-    assert combin.dominates((5, 4, 3), (3, 4, 5))
-    assert combin.dominates((1, 0, 0), (0, 1, 0))
-    assert not combin.dominates((0, 1, 0), (1, 0, 0))
-    assert not combin.dominates((1, 0, 0), (1, 0, 0))
-    assert not combin.dominates((2, 0, 0), (1, 0, 0))  # different weights
+    assert dominates((2, 6, 4), (5, 4, 3))
+    assert dominates((5, 4, 3), (3, 4, 5))
+    assert dominates((1, 0, 0), (0, 1, 0))
+    assert not dominates((0, 1, 0), (1, 0, 0))
+    assert not dominates((1, 0, 0), (1, 0, 0))
+    assert not dominates((2, 0, 0), (1, 0, 0))  # different weights
     with pytest.raises(ValueError):
-        combin.dominates((1, 0), (1, 0, 0))
+        dominates((1, 0), (1, 0, 0))
 
 
 def test_dominates_strict_partial_order():
     for n in range(7):
         comps = combin.compositions_of_weight(n, 3)
         for a in comps:
-            assert not combin.dominates(a, a)
+            assert not dominates(a, a)
         for a, b in itertools.permutations(comps, 2):
-            if combin.dominates(a, b):
-                assert not combin.dominates(b, a)
+            if dominates(a, b):
+                assert not dominates(b, a)
         for a, b, c in itertools.permutations(comps, 3):
-            if combin.dominates(a, b) and combin.dominates(b, c):
-                assert combin.dominates(a, c)
+            if dominates(a, b) and dominates(b, c):
+                assert dominates(a, c)
 
 
 def test_canonical_key_refines_dominance():
     for n in range(7):
         comps = combin.compositions_of_weight(n, 3)
         for a, b in itertools.permutations(comps, 2):
-            if combin.dominates(a, b):
+            if dominates(a, b):
                 assert combin.canonical_key(a) > combin.canonical_key(b)
 
 
@@ -173,6 +174,42 @@ def test_e_epsilon_frozen(kappa):
     assert combin.e_epsilon((0, 1), -1, ctx2) == 1 / (k + 1)
     ctx3 = make_context(kappa, 0, 3)
     assert combin.e_epsilon((0, 0, 1), 1, ctx3) == (3 * k + 1) / (k + 1)
+
+
+@pytest.mark.parametrize("kappa", KAPPAS + (Fraction(0), Fraction(11, 3)))
+def test_closed_forms_match_the_fraction_oracles(kappa):
+    # the integer closed forms equal the Fraction products they replace,
+    # on every composition of weight <= 6 in 2, 3 and 4 variables
+    k = kappa
+    ts = (1, k + 1, 3 * k + 1, 2 * k + Fraction(1, 2), Fraction(5, 3))
+    for nvars in (2, 3, 4):
+        ctx = make_context(k, 0, nvars)
+        for alpha in combin.compositions_up_to(6, nvars):
+            plus, _ = combin.sort_to_partition(alpha)
+            assert combin.spectral_vector(alpha, ctx) == oracles.spectral_vector(alpha, ctx)
+            for eps in (1, -1):
+                assert combin.e_epsilon(alpha, eps, ctx) == oracles.e_epsilon(alpha, eps, ctx)
+            for t in ts:
+                assert combin.hook_product(alpha, t, ctx) == oracles.hook_product(alpha, t, ctx)
+                assert combin.gen_pochhammer(plus, t, ctx) == oracles.gen_pochhammer(plus, t, ctx)
+    for t in ts + (Fraction(-7, 2),):
+        for n in range(7):
+            assert combin.rising_factorial(t, n) == oracles.rising_factorial(t, n)
+
+
+def test_closed_forms_refuse_floats():
+    ctx = make_context(Fraction(1, 2), 0, 3)
+    calls = (
+        lambda: combin.rising_factorial(0.1, 2),
+        lambda: combin.hook_product((2, 1, 0), 0.1, ctx),
+        lambda: combin.gen_pochhammer((2, 1, 0), 0.1, ctx),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="float"):
+            call()
+    # an exact decimal string is still welcome
+    assert combin.rising_factorial("0.1", 2) == Fraction(11, 100)
+    assert combin.hook_product((1, 0, 0), "0.1", ctx) == Fraction(1, 10)
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jack4 import combin, ops
+from jack4.basis4 import gamma_norm
 from jack4.exact import make_context
 from jack4.jack import (
     jack_norm,
@@ -15,6 +16,7 @@ from jack4.jack import (
 )
 from jack4.ops import cherednik_a, pairing_kappa
 from jack4.poly import SparsePoly, x_frame
+from oracles import dominates
 
 
 def xvar(i):
@@ -41,7 +43,7 @@ def test_nsjp_monic_and_triangular(ctx):
         assert rec.poly.coefficient(alpha) == 1
         for beta in rec.poly.terms:
             if beta != alpha:
-                assert combin.dominates(alpha, beta)
+                assert dominates(alpha, beta)
 
 
 def test_nsjp_eigenfunction_sample(ctx_each_kappa):
@@ -109,12 +111,16 @@ def clear_jack4_caches():
 
 def test_cache_reset_reaches_the_memo(ctx):
     first = nsjp((2, 1, 0), ctx)
-    assert ops._MEMO_CACHE
+    norm = gamma_norm((1, 0, 2), ctx)
+    key = ("gamma_norm", "y3", 3, ctx.kappa.as_integer_ratio())
+    assert ops._MEMO_CACHE[key][(1, 0, 2)] is norm
     clear_jack4_caches()
     assert not ops._MEMO_CACHE
     second = nsjp((2, 1, 0), ctx)
     assert second is not first
     assert second == first
+    assert gamma_norm((1, 0, 2), ctx) == norm
+    assert ops._MEMO_CACHE[key] == {(1, 0, 2): norm}
 
 
 def test_nsjp_validation():
