@@ -152,12 +152,17 @@ class InvariantRecord:
 
 
 def invariant_F(lam, s: int, ctx: ParamContext) -> InvariantRecord:
-    """F^0_lambda = j_lambda(y^2) or F^1_lambda = y_1 y_2 y_3 j_lambda(y^2)."""
+    """F^0_lambda = j_lambda(y^2) or F^1_lambda = y_1 y_2 y_3 j_lambda(y^2); free
+    of kappa_prime, so memoized per (lambda, s, kappa) like :func:`basis_poly4`."""
     lam = tuple(int(a) for a in lam)
     if len(lam) != 3:
         raise ValueError("lambda must have three parts")
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
+    records = _memo("invariant_F", Y3, 3, ctx)
+    rec = records.get((lam, s))
+    if rec is not None:
+        return rec
     f = substitute_squares(symmetric_jack(lam, ctx))
     if s:
         f = SparsePoly.monomial((1, 1, 1), Y3) * f
@@ -169,4 +174,5 @@ def invariant_F(lam, s: int, ctx: ParamContext) -> InvariantRecord:
         * a_lambda
     )
     pairing = pairing_kappa(f, f, ctx)
-    return InvariantRecord(lam, s, f, a_lambda, formula, pairing)
+    rec = records[lam, s] = InvariantRecord(lam, s, f, a_lambda, formula, pairing)
+    return rec

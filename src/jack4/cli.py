@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import combin, verify
 from .basis4 import BasisLabel, basis_norm, basis_poly4, decompose_label, invariant_F
-from .exact import format_rational, make_context, parse_rational
+from .exact import ParamContext, format_rational, make_context, parse_rational
 from .hermite_cs import (
     cs_invariant_eigenfunction,
     cs_invariant_energy,
@@ -135,7 +135,7 @@ def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list[str]]]) -> N
 
 def _poly_csv_rows(f) -> tuple[list[str], list[list[str]]]:
     header = [f"e_{name}" for name in var_names(f.frame, f.nvars)] + ["coef"]
-    rows = [[str(e) for e in exp] + [format_rational(c)] for exp, c in f.terms.items()]
+    rows = [[str(e) for e in exp] + [format_rational(c)] for exp, c in f.ordered_terms()]
     return header, rows
 
 
@@ -143,11 +143,9 @@ def _cmd_nsjp(args) -> int:
     alpha = args.alpha
     nvars = args.nvars if args.nvars is not None else len(alpha)
     if nvars != len(alpha):
-        print(f"error: alpha has {len(alpha)} parts but --nvars is {nvars}", file=sys.stderr)
-        return 2
+        raise ValueError(f"alpha has {len(alpha)} parts but --nvars is {nvars}")
     if args.kappa <= 0:
-        print("error: nsjp requires kappa > 0", file=sys.stderr)
-        return 2
+        raise ValueError("nsjp requires kappa > 0")
     ctx = make_context(args.kappa, 0, nvars)
     rec = nsjp(alpha, ctx)
     payload = {
@@ -163,17 +161,14 @@ def _cmd_nsjp(args) -> int:
     return 0
 
 
-def _make_ctx4(args) -> tuple:
+def _make_ctx4(args) -> ParamContext:
     if args.kappa <= 0:
-        print("error: this command requires kappa > 0", file=sys.stderr)
-        return None, 2
-    return make_context(args.kappa, args.kappa_prime, 3), 0
+        raise ValueError("this command requires kappa > 0")
+    return make_context(args.kappa, args.kappa_prime, 3)
 
 
 def _cmd_basis(args) -> int:
-    ctx, err = _make_ctx4(args)
-    if err:
-        return err
+    ctx = _make_ctx4(args)
     if args.lam is not None:
         rec = invariant_F(args.lam, args.s, ctx)
         payload = {
@@ -188,8 +183,7 @@ def _cmd_basis(args) -> int:
         _emit(args, payload, _poly_csv_rows(rec.poly))
         return 0
     if len(args.gamma) != 3 or args.n < 0:
-        print("error: --gamma needs three parts and --n must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--gamma needs three parts and --n must be nonnegative")
     label = BasisLabel(args.gamma, args.n)
     f = basis_poly4(label, ctx)
     d = decompose_label(args.gamma)
@@ -211,9 +205,7 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_hermite(args) -> int:
-    ctx, err = _make_ctx4(args)
-    if err:
-        return err
+    ctx = _make_ctx4(args)
     if args.lam is not None:
         f = cs_invariant_eigenfunction(args.lam, args.s, args.n, ctx)
         payload = {
@@ -227,8 +219,7 @@ def _cmd_hermite(args) -> int:
         _emit(args, payload, _poly_csv_rows(f))
         return 0
     if len(args.gamma) != 3 or args.n < 0:
-        print("error: --gamma needs three parts and --n must be nonnegative", file=sys.stderr)
-        return 2
+        raise ValueError("--gamma needs three parts and --n must be nonnegative")
     rec = hermite_basis(BasisLabel(args.gamma, args.n), ctx)
     payload = {
         "gamma": list(args.gamma),
@@ -243,9 +234,7 @@ def _cmd_hermite(args) -> int:
 
 def _label_table(args, column: str, value) -> int:
     """One row per basis label up to --max-degree, with value(label, ctx) in ``column``."""
-    ctx, err = _make_ctx4(args)
-    if err:
-        return err
+    ctx = _make_ctx4(args)
     rows = [
         {
             "gamma": list(label.gamma),
@@ -274,9 +263,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ctx, err = _make_ctx4(args)
-    if err:
-        return err
+    ctx = _make_ctx4(args)
     report = verify.run_suite(args.suite, ctx, args.max_degree)
     payload = report.to_json()
     csv_rows = (

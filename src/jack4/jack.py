@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import combin
 from .exact import ParamContext, Rat
 from .ops import _apply, _memo
-from .poly import SparsePoly, x_frame
+from .poly import SparsePoly, _accumulate, x_frame
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,16 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
         if sel is None:
             raise ArithmeticError(f"spectral vectors of {alpha} and {m} collide")
         if sel not in running:
-            running[sel] = dict(_apply(("U", sel), SparsePoly(nvars, frame, coeffs), ctx).terms)
+            solved = SparsePoly._of(nvars, frame, dict(coeffs))  # coeffs keeps growing
+            running[sel] = dict(_apply(("U", sel), solved, ctx).terms)
         value = running[sel].get(m, 0) / (xi_alpha[sel] - xi[sel])
         if value:
             coeffs[m] = value
             for i, acc in running.items():
                 for exp, c in _memo(("U", i), frame, nvars, ctx)[m].items():
-                    acc[exp] = acc.get(exp, 0) + value * c
+                    _accumulate(acc, exp, value * c)
 
-    poly = SparsePoly(nvars, frame, coeffs)
+    poly = SparsePoly._of(nvars, frame, coeffs)
     record = records[alpha] = NsjpRecord(alpha, poly, xi_alpha, nsjp_norm(alpha, ctx))
     return record
 
@@ -108,8 +109,8 @@ def symmetric_jack(lam, ctx: ParamContext) -> SparsePoly:
         for alpha in combin.rearrangements(lam):
             e = combin.e_epsilon(alpha, -1, ctx)
             for exp, c in nsjp(alpha, ctx).poly.terms.items():
-                terms[exp] = terms.get(exp, 0) + e * c
-        j = jacks[lam] = SparsePoly(len(lam), frame, terms)
+                _accumulate(terms, exp, e * c)
+        j = jacks[lam] = SparsePoly._of(len(lam), frame, terms)
     return j
 
 

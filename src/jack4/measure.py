@@ -79,8 +79,9 @@ def _as_x_frame(f: SparsePoly) -> SparsePoly:
 
 
 def _compile(f: SparsePoly):
-    exps = np.array(list(f.terms.keys()), dtype=np.int64)
-    coefs = np.array([float(c) for c in f.terms.values()])
+    terms = f.ordered_terms()  # canonical order fixes the float summation order
+    exps = np.array([e for e, _ in terms], dtype=np.int64)
+    coefs = np.array([float(c) for _, c in terms])
     return exps, coefs
 
 

@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import ParamContext, Rat
-from .poly import SparsePoly, Y0, Y3, Y4, is_x_frame, to_x, to_y
+from .poly import SparsePoly, Y0, Y3, Y4, _accumulate, is_x_frame, to_x, to_y
 
 
 # ---------------------------------------------------------------------- root tables
@@ -122,25 +122,17 @@ def _reflect(exp, p, q, s):
     return tuple(e), -1 if s < 0 and (exp[p] + exp[q]) % 2 else 1
 
 
-def _add(acc, exp, coef):
-    c = acc.get(exp, 0) + coef
-    if c:
-        acc[exp] = c
-    else:
-        acc.pop(exp, None)
-
-
 def _kernel(p: int, exp, c, rows: tuple, weights: tuple, acc: dict) -> dict:
     """Add c * D_{e_p} v^exp to acc, over the root table rows, with the
     weights (derivative, kappa, kappa_prime) of :func:`_weights`; returns acc."""
     d, k, kp = weights
     if exp[p]:
-        _add(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * (d * exp[p]))
+        _accumulate(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * (d * exp[p]))
     for q, s in rows[p]:
         w = kp if q is None else k
         if w:
             for e2, sign in _quotient(exp, p, q, s):
-                _add(acc, e2, c * w * sign)
+                _accumulate(acc, e2, c * w * sign)
     return acc
 
 
@@ -192,7 +184,7 @@ class _Images(dict):
             for q, s in rows[p]:
                 if q is not None and q < p:
                     e2, sign = _reflect(exp, p, q, s)
-                    _add(image, e2, -sign * weights[1])
+                    _accumulate(image, e2, -sign * weights[1])
         self[exp] = image
         return image
 
@@ -223,8 +215,8 @@ def _apply(op: tuple, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     acc: dict = {}
     for exp, c in f.terms.items():
         for e2, c2 in images[exp].items():
-            _add(acc, e2, c * c2)
-    return SparsePoly(f.nvars, f.frame, acc)
+            _accumulate(acc, e2, c * c2)
+    return SparsePoly._of(f.nvars, f.frame, acc)
 
 
 # ---------------------------------------------------------------------- entry points
@@ -293,7 +285,7 @@ def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
             for exp, c in to_y(f).terms.items()
             if exp[0] % 2
         }
-        out = out + to_x(SparsePoly(4, Y4, odd))
+        out = out + to_x(SparsePoly._of(4, Y4, odd))
     return out
 
 
@@ -354,7 +346,7 @@ def laplacian(kind: str, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 
 def euler(f: SparsePoly) -> SparsePoly:
     """sum_i v_i d/dv_i: scales each monomial by its total degree."""
-    return SparsePoly(f.nvars, f.frame, {e: c * sum(e) for e, c in f.terms.items()})
+    return SparsePoly._of(f.nvars, f.frame, {e: c * sum(e) for e, c in f.terms.items() if any(e)})
 
 
 # ---------------------------------------------------------------------- pairings

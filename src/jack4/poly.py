@@ -17,8 +17,9 @@ a fast Walsh-Hadamard transform on exponents: two stages of pairwise
 binomial butterflies, a swap, and a factor 2^-deg per monomial.
 
 Values are immutable by convention: every operation allocates a new
-polynomial, and term dictionaries are kept in descending canonical monomial
-order so iteration, solving, and serialization are reproducible.
+polynomial.  Terms are an unordered map; :meth:`SparsePoly.ordered_terms`
+applies the descending canonical monomial order where order shows (repr,
+JSON, CSV and the float sums of :mod:`jack4.measure`).
 """
 
 from __future__ import annotations
@@ -81,11 +82,11 @@ def var_names(frame: str, nvars: int) -> list[str]:
 
 
 class SparsePoly:
-    """A finite map from exponent vectors to nonzero rational coefficients.
-
-    Coefficients may be ints, Fractions or exact strings such as "0.1";
-    binary floats are refused, since 0.1 would silently become
-    3602879701896397/2^55.
+    """A finite, unordered map ``terms`` from exponent vectors to nonzero
+    Fractions.  The constructor takes terms from outside the package: ints,
+    Fractions or exact strings such as "0.1", never binary floats (0.1 would
+    silently become 3602879701896397/2^55); it checks the exponents, merges
+    duplicates and drops zeros.  Internal results are wrapped by :meth:`_of`.
     """
 
     __slots__ = ("nvars", "frame", "terms")
@@ -98,18 +99,18 @@ class SparsePoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for nvars={nvars}")
-            if type(coef) is not Fraction:
-                coef = as_rational(coef)
-            c = merged.get(exp, Fraction(0)) + coef
-            if c:
-                merged[exp] = c
-            else:
-                merged.pop(exp, None)
+            _accumulate(merged, exp, as_rational(coef))
         self.nvars = nvars
         self.frame = frame
-        self.terms = dict(
-            sorted(merged.items(), key=lambda kv: combin.canonical_key(kv[0]), reverse=True)
-        )
+        self.terms = merged
+
+    @classmethod
+    def _of(cls, nvars: int, frame: str, terms: dict) -> "SparsePoly":
+        """Wrap terms as built: nonzero Fractions on exponents valid for the
+        frame.  The polynomial owns the dict; the caller must not mutate it."""
+        f = object.__new__(cls)
+        f.nvars, f.frame, f.terms = nvars, frame, terms
+        return f
 
     # ------------------------------------------------------------------ constructors
 
@@ -179,14 +180,14 @@ class SparsePoly:
         self._require_same_shape(other)
         terms = dict(self.terms)
         for exp, coef in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coef
-        return SparsePoly(self.nvars, self.frame, terms)
+            _accumulate(terms, exp, coef)
+        return SparsePoly._of(self.nvars, self.frame, terms)
 
     def __radd__(self, other):
         return self + other
 
     def __neg__(self):
-        return SparsePoly(self.nvars, self.frame, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._of(self.nvars, self.frame, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, SparsePoly) else -as_rational(other))
@@ -197,14 +198,14 @@ class SparsePoly:
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             c = as_rational(other)
-            return SparsePoly(self.nvars, self.frame, {e: c * v for e, v in self.terms.items()})
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
+            return SparsePoly._of(self.nvars, self.frame, terms)
         self._require_same_shape(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return SparsePoly(self.nvars, self.frame, terms)
+                _accumulate(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return SparsePoly._of(self.nvars, self.frame, terms)
 
     def __rmul__(self, other):
         return self * other
@@ -225,9 +226,9 @@ class SparsePoly:
 
     def apply_permutation(self, w) -> "SparsePoly":
         """Monomial map x^a -> x^{w a} with (w a)_{w(i)} = a_i."""
-        if len(w) != self.nvars:
-            raise ValueError("permutation length mismatch")
-        return SparsePoly(
+        if sorted(w) != list(range(self.nvars)):
+            raise ValueError(f"{tuple(w)} is not a permutation of {self.nvars} positions")
+        return SparsePoly._of(
             self.nvars,
             self.frame,
             {combin.permute_composition(w, e): c for e, c in self.terms.items()},
@@ -240,7 +241,7 @@ class SparsePoly:
             le = list(e)
             le[p], le[q] = le[q], le[p]
             terms[tuple(le)] = c
-        return SparsePoly(self.nvars, self.frame, terms)
+        return SparsePoly._of(self.nvars, self.frame, terms)
 
     def sign_change(self, i: int) -> "SparsePoly":
         """Negate the coordinate y_i.
@@ -268,7 +269,7 @@ class SparsePoly:
             pos = 0
         else:
             raise ValueError(f"sign change undefined in frame {self.frame!r}")
-        return SparsePoly(
+        return SparsePoly._of(
             self.nvars,
             self.frame,
             {e: (-c if e[pos] % 2 else c) for e, c in self.terms.items()},
@@ -285,14 +286,18 @@ class SparsePoly:
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.frame, tuple(self.terms.items())))
+        return hash((self.nvars, self.frame, frozenset(self.terms.items())))
+
+    def ordered_terms(self) -> list:
+        """The terms in descending canonical monomial order, for output."""
+        return sorted(self.terms.items(), key=lambda kv: combin.canonical_key(kv[0]), reverse=True)
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         names = var_names(self.frame, self.nvars)
         parts = []
-        for exp, coef in self.terms.items():
+        for exp, coef in self.ordered_terms():
             factors = [
                 (names[v] if e == 1 else f"{names[v]}^{e}") for v, e in enumerate(exp) if e
             ]
@@ -307,6 +312,15 @@ class SparsePoly:
                 parts.append(f"{format_rational(coef)}*{body}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def _accumulate(acc: dict, exp, coef) -> None:
+    """acc[exp] += coef, dropping the term when it cancels."""
+    c = acc.pop(exp, None)
+    if c is not None:
+        coef += c
+    if coef:
+        acc[exp] = coef
 
 
 # ---------------------------------------------------------------------- substitution
@@ -367,8 +381,6 @@ def _hadamard_change(f: SparsePoly, dst_frame: str) -> SparsePoly:
     for p, q in ((0, 1), (2, 3), (0, 2), (1, 3)):
         out: dict[tuple[int, ...], int] = {}
         for exp, n in terms.items():
-            if not n:
-                continue
             a, b = exp[p], exp[q]
             w = weights.get((a, b))
             if w is None:
@@ -378,13 +390,12 @@ def _hadamard_change(f: SparsePoly, dst_frame: str) -> SparsePoly:
                 if wk:
                     e[p] = a + b - k
                     e[q] = k
-                    t = tuple(e)
-                    out[t] = out.get(t, 0) + n * wk
+                    _accumulate(out, tuple(e), n * wk)
         terms = out
-    return SparsePoly(
+    return SparsePoly._of(
         4,
         dst_frame,
-        {(e[0], e[2], e[1], e[3]): Fraction(n, den << sum(e)) for e, n in terms.items() if n},
+        {(e[0], e[2], e[1], e[3]): Fraction(n, den << sum(e)) for e, n in terms.items()},
     )
 
 
@@ -406,7 +417,7 @@ def substitute_squares(f: SparsePoly) -> SparsePoly:
     """Realize f(y_1^2, y_2^2, y_3^2) for a three-variable polynomial."""
     if f.nvars != 3:
         raise ValueError("substitute_squares expects three variables")
-    return SparsePoly(3, Y3, {tuple(2 * e for e in exp): c for exp, c in f.terms.items()})
+    return SparsePoly._of(3, Y3, {tuple(2 * e for e in exp): c for exp, c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------- y0 embeddings
@@ -414,16 +425,16 @@ def substitute_squares(f: SparsePoly) -> SparsePoly:
 
 def embed_y3(f: SparsePoly, y0_power: int = 0) -> SparsePoly:
     """View a y3 polynomial inside y4, optionally times a power of y_0."""
-    if f.frame != Y3:
-        raise ValueError("embed_y3 expects the y3 frame")
-    return SparsePoly(4, Y4, {(y0_power,) + exp: c for exp, c in f.terms.items()})
+    if f.frame != Y3 or y0_power < 0:
+        raise ValueError("embed_y3 expects the y3 frame and a nonnegative power of y_0")
+    return SparsePoly._of(4, Y4, {(y0_power,) + exp: c for exp, c in f.terms.items()})
 
 
 def embed_y0(f: SparsePoly) -> SparsePoly:
     """View a univariate y0 polynomial inside y4."""
     if f.frame != Y0:
         raise ValueError("embed_y0 expects the y0 frame")
-    return SparsePoly(4, Y4, {(exp[0], 0, 0, 0): c for exp, c in f.terms.items()})
+    return SparsePoly._of(4, Y4, {(exp[0], 0, 0, 0): c for exp, c in f.terms.items()})
 
 
 # ---------------------------------------------------------------------- serialization
@@ -436,7 +447,7 @@ def poly_to_json(f: SparsePoly) -> dict:
         "nvars": f.nvars,
         "frame": f.frame,
         "terms": [
-            {"exp": list(exp), "coef": format_rational(coef)} for exp, coef in f.terms.items()
+            {"exp": list(exp), "coef": format_rational(coef)} for exp, coef in f.ordered_terms()
         ],
     }
 

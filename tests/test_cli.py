@@ -131,6 +131,20 @@ def test_output_byte_identical(capsys):
     assert out1 == out2
 
 
+# Each error path of the exact subcommands: (argv, the one stderr line).
+# Every one exits 2 with nothing on stdout.
+USAGE_ERRORS = [
+    *(((cmd, *extra, "--kappa", "0"), "error: this command requires kappa > 0")
+      for cmd, *extra in (("basis", "--gamma", "1,0,0"), ("hermite", "--gamma", "1,0,0"),
+                          ("norm-table",), ("spectrum",), ("verify", "--suite", "prop1"))),
+    (("nsjp", "--alpha", "1,0,0", "--nvars", "4"), "error: alpha has 3 parts but --nvars is 4"),
+    (("nsjp", "--alpha", "1,0,0", "--kappa", "0"), "error: nsjp requires kappa > 0"),
+    *(((cmd, "--gamma", gamma, "--n", n, "--kappa", "1"),
+       "error: --gamma needs three parts and --n must be nonnegative")
+      for cmd in ("basis", "hermite") for gamma, n in (("1,0", "0"), ("1,0,0", "-1"))),
+]
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "nsjp", "--alpha", "1,x,0")
     assert code == 2
@@ -146,6 +160,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "mc-check", "--samples", "-5")
     assert code == 2
+    for argv, line in USAGE_ERRORS:
+        assert run(capsys, *argv) == (2, "", line + "\n"), argv
 
 
 def test_negative_max_degree_fails_loudly(capsys):
@@ -226,6 +242,16 @@ GOLDEN_STDOUT = {
         "f7daa0ed3d81de0bec67f94347d5e6b08384ed0db676daecaf74bbd3f8defb38",
     ("norm-table", "--max-degree", "4", "--kappa", "5/7", "--kappa-prime", "1/3"):
         "98ea943259bbd92fd8d8929411405a906bda40cebfdb089d1e392d78d87c0036",
+    # CSV rows of many-term polynomials in x4, y4 and the Hermite image: the
+    # bytes depend on the order in which terms are written
+    ("hermite", "--gamma", "2,1,1", "--n", "2", "--kappa", "1/2", "--kappa-prime", "2",
+     "--format", "csv"):
+        "c31ea2346ca2faf7a531e2e40cb2938221a389618a7c32d703ecc8384808c9ac",
+    ("nsjp", "--alpha", "1,0,2,1", "--kappa", "1/3", "--format", "csv"):
+        "a0b1ad8c6321e23e248a281426204d6ece6df235d29134f496fb293b4ef1659c",
+    ("basis", "--gamma", "3,1,2", "--n", "1", "--kappa", "3/7", "--kappa-prime", "2",
+     "--format", "csv"):
+        "a3a0c640c4e21efd1b56bf5457a8dfe5f74ce9fc2a5dbb782b4385bf8e91c94c",
 }
 
 

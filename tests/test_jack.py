@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jack4 import combin, ops
-from jack4.basis4 import gamma_norm
+from jack4.basis4 import gamma_norm, invariant_F
 from jack4.exact import make_context
 from jack4.jack import (
     jack_norm,
@@ -114,6 +114,9 @@ def test_cache_reset_reaches_the_memo(ctx):
     norm = gamma_norm((1, 0, 2), ctx)
     key = ("gamma_norm", "y3", 3, ctx.kappa.as_integer_ratio())
     assert ops._MEMO_CACHE[key][(1, 0, 2)] is norm
+    record = invariant_F((1, 1, 0), 1, ctx)
+    f_key = ("invariant_F", "y3", 3, ctx.kappa.as_integer_ratio())
+    assert ops._MEMO_CACHE[f_key][(1, 1, 0), 1] is record
     clear_jack4_caches()
     assert not ops._MEMO_CACHE
     second = nsjp((2, 1, 0), ctx)
@@ -121,6 +124,9 @@ def test_cache_reset_reaches_the_memo(ctx):
     assert second == first
     assert gamma_norm((1, 0, 2), ctx) == norm
     assert ops._MEMO_CACHE[key] == {(1, 0, 2): norm}
+    again = invariant_F((1, 1, 0), 1, ctx)
+    assert again is not record and again == record
+    assert ops._MEMO_CACHE[f_key] == {((1, 1, 0), 1): again}
 
 
 def test_nsjp_validation():

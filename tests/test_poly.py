@@ -9,7 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jack4 import combin
-from jack4.ops import dunkl_a, dunkl_prime
+from jack4.cli import _poly_csv_rows
+from jack4.jack import nsjp, symmetric_jack
+from jack4.measure import _compile
+from jack4.ops import (
+    cherednik_a,
+    cherednik_b,
+    d0_squared,
+    dunkl_a,
+    dunkl_b,
+    dunkl_d0,
+    dunkl_prime,
+    euler,
+    laplacian_b,
+    laplacian_h,
+)
 from jack4.poly import (
     SparsePoly,
     embed_y0,
@@ -76,10 +90,32 @@ def to_sympy(f, symbols):
 
 
 def test_zero_pruning_and_ordering():
-    f = SparsePoly(3, "x3", {(1, 0, 0): 1, (0, 1, 0): 0, (0, 0, 0): 2})
+    # inserted in ascending canonical order, the reverse of the output order
+    f = SparsePoly(3, "x3", {(0, 0, 0): 2, (0, 1, 0): 0, (1, 0, 0): 1, (0, 1, 1): 3})
     assert (0, 1, 0) not in f.terms
-    keys = list(f.terms)
-    assert keys == sorted(keys, key=combin.canonical_key, reverse=True)
+    keys = [exp for exp, _ in f.ordered_terms()]
+    assert keys == sorted(f.terms, key=combin.canonical_key, reverse=True)
+    assert keys == [(0, 1, 1), (1, 0, 0), (0, 0, 0)]
+    assert [tuple(t["exp"]) for t in poly_to_json(f)["terms"]] == keys
+    assert repr(f) == "3*x2*x3 + x1 + 2"
+
+
+def outputs(f):
+    """Everything of f whose bytes can depend on term order: the float
+    arrays mc-check sums in order, the JSON and CSV forms, repr and hash."""
+    exps, coefs = _compile(f)
+    return (exps.tobytes(), coefs.tobytes(), json.dumps(poly_to_json(f)),
+            repr(_poly_csv_rows(f)), repr(f), hash(f))
+
+
+def test_insertion_order_changes_no_output():
+    rng = random.Random(5)
+    for frame, nvars in (("x4", 4), ("y4", 4), ("y3", 3)):
+        items = list(random_poly(rng, nvars, frame, max_deg=4, terms=8).terms.items())
+        orders = [items, items[::-1]] + [rng.sample(items, len(items)) for _ in range(3)]
+        built = [SparsePoly(nvars, frame, order) for order in orders]
+        assert len({tuple(f.terms) for f in built}) > 1  # the orders do differ
+        assert len({outputs(f) for f in built}) == 1
 
 
 def test_bad_inputs():
@@ -274,7 +310,7 @@ def test_butterfly_matches_substitution():
             expected = substitute_linear(f, hadamard_forms(frame, dst))
             got = fast(f)
             assert got == expected
-            assert list(got.terms) == list(expected.terms)
+            assert outputs(got) == outputs(expected)
 
 
 def test_x4_sign_change_matches_affine_substitution():
@@ -284,7 +320,7 @@ def test_x4_sign_change_matches_affine_substitution():
         expected = oracle_sign_change_x4(f)
         got = f.sign_change(0)
         assert got == expected
-        assert list(got.terms) == list(expected.terms)
+        assert outputs(got) == outputs(expected)
 
 
 def test_dunkl_prime_matches_substitution_route(ctx_each_pair):
@@ -295,7 +331,7 @@ def test_dunkl_prime_matches_substitution_route(ctx_each_pair):
             got = dunkl_prime(i, f, ctx_each_pair)
             expected = oracle_dunkl_prime(i, f, ctx_each_pair)
             assert got == expected
-            assert list(got.terms) == list(expected.terms)
+            assert outputs(got) == outputs(expected)
 
 
 def test_substitute_squares():
@@ -344,3 +380,92 @@ def test_repr_readable():
     f = SparsePoly(3, "x3", {(1, 0, 0): 1, (0, 0, 0): Fraction(-1, 2)})
     assert repr(f) == "x1 - 1/2"
     assert repr(SparsePoly.zero(3, "y3")) == "0"
+
+
+# ---------------------------------------------------------------- trusted route
+
+
+def assert_normal(f):
+    """Internal producers wrap their terms as built; the validating
+    constructor, fed the same terms, is their oracle."""
+    assert f == SparsePoly(f.nvars, f.frame, list(f.terms.items()))
+    assert all(type(c) is Fraction and c for c in f.terms.values())
+
+
+FRAMES = (("x3", 3), ("x4", 4), ("y3", 3), ("y4", 4), ("y0", 1), ("t", 1))
+
+
+def seeded_pairs(seed, count=3):
+    rng = random.Random(seed)
+    for frame, nvars in FRAMES:
+        for _ in range(count):
+            yield tuple(random_poly(rng, nvars, frame, max_deg=3, terms=5) for _ in range(2))
+
+
+def test_ring_results_are_normal():
+    for f, g in seeded_pairs(1):
+        for h in (f + g, f - g, -f, f * g, f * Fraction(-2, 3), f**3, f + 1, 1 - f):
+            assert_normal(h)
+        for h in (f * 0, 0 * f, f + (-f), f - f, f * g - g * f):
+            assert_normal(h)
+            assert h.terms == {}
+
+
+def test_group_actions_are_normal():
+    signs = {"x4": (0,), "y4": (0, 1, 2, 3), "y3": (1, 2, 3), "y0": (0,)}
+    for f, _ in seeded_pairs(2):
+        for w in itertools.permutations(range(f.nvars)):
+            assert_normal(f.apply_permutation(w))
+        for p, q in itertools.combinations(range(f.nvars), 2):
+            assert_normal(f.swap_variables(p, q))
+        for i in signs.get(f.frame, ()):
+            assert_normal(f.sign_change(i))
+
+
+def test_coordinate_maps_are_normal():
+    maps = {
+        "x4": (to_y,),
+        "y4": (to_x,),
+        "x3": (substitute_squares,),
+        "y3": (substitute_squares, embed_y3, lambda g: embed_y3(g, y0_power=2)),
+        "y0": (embed_y0,),
+    }
+    for f, _ in seeded_pairs(3):
+        for op in maps.get(f.frame, ()):
+            assert_normal(op(f))
+
+
+def test_operators_are_normal(ctx_each_pair):
+    ctx = ctx_each_pair
+    for f, _ in seeded_pairs(4, count=2):
+        images = [euler(f)]
+        if f.frame.startswith("x"):
+            images += [op(i, f, ctx) for op in (dunkl_a, cherednik_a) for i in range(1, f.nvars + 1)]
+        if f.frame == "x4":
+            images += [dunkl_prime(i, f, ctx) for i in (1, 2, 3, 4)] + [laplacian_h(f, ctx)]
+        if f.frame in ("y3", "y4"):
+            images += [op(i, f, ctx) for op in (dunkl_b, cherednik_b) for i in (1, 2, 3)]
+            images.append(laplacian_b(f, ctx))
+        if f.frame in ("y0", "y4"):
+            images += [dunkl_d0(f, ctx), d0_squared(f, ctx)]
+        if f.frame == "y4":
+            images.append(laplacian_h(f, ctx))
+        for h in images:
+            assert_normal(h)
+    constant = euler(SparsePoly.constant(Fraction(3, 5), 3, "y3"))
+    assert_normal(constant)
+    assert constant.terms == {}
+
+
+def test_jack_results_are_normal(ctx_each_pair):
+    ctx = ctx_each_pair
+    for alpha in combin.compositions_up_to(3, 3):
+        assert_normal(nsjp(alpha, ctx).poly)
+    for lam in combin.partitions_up_to(3, 3):
+        j = symmetric_jack(lam, ctx)
+        assert_normal(j)
+        # the defining sum over the rearrangements cancels against j exactly
+        rest = j - sum(combin.e_epsilon(alpha, -1, ctx) * nsjp(alpha, ctx).poly
+                       for alpha in combin.rearrangements(lam))
+        assert_normal(rest)
+        assert rest.terms == {}
