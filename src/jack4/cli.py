@@ -82,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--gamma", type=_parse_label_arg, help="e.g. 2,0,1")
     group.add_argument("--lambda", dest="lam", type=_parse_label_arg,
                        help="partition label of the invariant family")
-    p.add_argument("--n", type=int, default=0, help="power of y0 (default 0)")
-    p.add_argument("--s", type=int, choices=(0, 1), default=0,
-                   help="parity sector of the invariant family (with --lambda)")
+    p.add_argument("--n", type=int, help="power of y0, with --gamma (default 0)")
+    p.add_argument("--s", type=int, choices=(0, 1),
+                   help="parity sector of the invariant family, with --lambda (default 0)")
     common(p)
 
     p = sub.add_parser("hermite", help="weight-orthogonal image of a basis element, "
@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--gamma", type=_parse_label_arg)
     group.add_argument("--lambda", dest="lam", type=_parse_label_arg)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--s", type=int, choices=(0, 1), default=0)
+    p.add_argument("--n", type=int)
+    p.add_argument("--s", type=int, choices=(0, 1))
     common(p)
 
     p = sub.add_parser("norm-table", help="closed-form norms up to a total degree")
@@ -167,13 +167,24 @@ def _make_ctx4(args) -> ParamContext:
     return make_context(args.kappa, args.kappa_prime, 3)
 
 
+def _mode_flags(args, lambda_takes_n: bool) -> tuple[int, int]:
+    """--n and --s of basis and hermite, defaulting to 0; a flag that the
+    --gamma or --lambda mode does not read is refused, not ignored."""
+    if args.gamma is not None and args.s is not None:
+        raise ValueError("--s needs --lambda")
+    if args.lam is not None and args.n is not None and not lambda_takes_n:
+        raise ValueError("--n needs --gamma")
+    return args.n or 0, args.s or 0
+
+
 def _cmd_basis(args) -> int:
+    n, s = _mode_flags(args, lambda_takes_n=False)
     ctx = _make_ctx4(args)
     if args.lam is not None:
-        rec = invariant_F(args.lam, args.s, ctx)
+        rec = invariant_F(args.lam, s, ctx)
         payload = {
             "lambda": list(args.lam),
-            "s": args.s,
+            "s": s,
             **verify._params(ctx),
             "poly": poly_to_json(rec.poly),
             "a_lambda": format_rational(rec.a_lambda),
@@ -182,14 +193,14 @@ def _cmd_basis(args) -> int:
         }
         _emit(args, payload, _poly_csv_rows(rec.poly))
         return 0
-    if len(args.gamma) != 3 or args.n < 0:
+    if len(args.gamma) != 3 or n < 0:
         raise ValueError("--gamma needs three parts and --n must be nonnegative")
-    label = BasisLabel(args.gamma, args.n)
+    label = BasisLabel(args.gamma, n)
     f = basis_poly4(label, ctx)
     d = decompose_label(args.gamma)
     payload = {
         "gamma": list(args.gamma),
-        "n": args.n,
+        "n": n,
         **verify._params(ctx),
         "decomposition": {
             "odd_set": list(d.odd_set),
@@ -205,25 +216,26 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_hermite(args) -> int:
+    n, s = _mode_flags(args, lambda_takes_n=True)
     ctx = _make_ctx4(args)
     if args.lam is not None:
-        f = cs_invariant_eigenfunction(args.lam, args.s, args.n, ctx)
+        f = cs_invariant_eigenfunction(args.lam, s, n, ctx)
         payload = {
             "lambda": list(args.lam),
-            "s": args.s,
-            "n": args.n,
+            "s": s,
+            "n": n,
             **verify._params(ctx),
             "poly": poly_to_json(f),
-            "energy": format_rational(cs_invariant_energy(args.lam, args.s, args.n, ctx)),
+            "energy": format_rational(cs_invariant_energy(args.lam, s, n, ctx)),
         }
         _emit(args, payload, _poly_csv_rows(f))
         return 0
-    if len(args.gamma) != 3 or args.n < 0:
+    if len(args.gamma) != 3 or n < 0:
         raise ValueError("--gamma needs three parts and --n must be nonnegative")
-    rec = hermite_basis(BasisLabel(args.gamma, args.n), ctx)
+    rec = hermite_basis(BasisLabel(args.gamma, n), ctx)
     payload = {
         "gamma": list(args.gamma),
-        "n": args.n,
+        "n": n,
         **verify._params(ctx),
         "poly": poly_to_json(rec.poly),
         "energy": format_rational(rec.energy),

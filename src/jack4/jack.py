@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import combin
 from .exact import ParamContext, Rat
-from .ops import _apply, _memo
+from .ops import _apply, _memo, _scale
 from .poly import SparsePoly, _accumulate, x_frame
 
 
@@ -35,7 +35,8 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
     monomial shares the same U_1 eigenvalue, falls back to the first U_i
     that separates it (the joint spectrum is simple for kappa > 0).  For
     each U_i it uses, it keeps U_i applied to the part solved so far, from
-    the memoized images of U_i on monomials.
+    the memoized integer images Q U_i on monomials: each solved value is
+    divided by Q once before it enters them.
     """
     alpha = tuple(int(a) for a in alpha)
     if any(a < 0 for a in alpha):
@@ -66,6 +67,7 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
         value = running[sel].get(m, 0) / (xi_alpha[sel] - xi[sel])
         if value:
             coeffs[m] = value
+            value /= _scale(frame, ctx)  # the memo holds Q U_i
             for i, acc in running.items():
                 for exp, c in _memo(("U", i), frame, nvars, ctx)[m].items():
                     _accumulate(acc, exp, value * c)

@@ -32,12 +32,14 @@ under the y3 key (kappa only), the kappa_prime-free basis polynomials and
 norms of :mod:`jack4.basis4`.  Every entry is written
 once with one deterministic value, so concurrent get-or-compute is harmless.
 
-The pairings run in integers.  With kappa = p/q and kappa_prime = p'/q', let
-Q = q in the x frames and y3, and Q = lcm(q, q') in y0 and y4.  Then Q D_p
-maps integer coefficients to integers, so Q^|a| <v^a, v^b> is an integer.
-The "pair" entries hold these integers, computed from the integer images
-Q D_p v^b, which are ("QD", p) entries made by the same kernel with the
-weights (Q, Q kappa, Q kappa') under the same key rule.  :class:`Dual` scales
+The images are integers.  With kappa = p/q and kappa_prime = p'/q', let
+Q = q in the x frames and y3, and Q = lcm(q, q') in y0 and y4.  The kernel
+runs on the weights (Q, Q kappa, Q kappa'), so the memo holds Q D_p v^exp,
+Q U_p v^exp and Q^2 L v^exp with integer coefficients.  :func:`_apply` scales
+f once to integers, F = den f, and divides each output term once, by den Q
+(den Q^2 for a Laplacian).  The pairings stay in integers throughout:
+Q^|a| <v^a, v^b> is an integer, and the "pair" entries hold these integers,
+computed from the images Q D_p v^b.  :class:`Dual` scales
 a polynomial g once to integers, G = den g, and fills its dual vector
 w[a] = sum_b G_b Q^|a| <v^a, v^b> lazily per monomial; pairing f with it is
 one integer dot product per group of component degrees that f and g share,
@@ -53,7 +55,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import ParamContext, Rat
-from .poly import SparsePoly, Y0, Y3, Y4, _accumulate, is_x_frame, to_x, to_y
+from .poly import SparsePoly, Y0, Y3, Y4, _accumulate, _integer_form, is_x_frame, to_x, to_y
 
 
 # ---------------------------------------------------------------------- root tables
@@ -123,8 +125,8 @@ def _reflect(exp, p, q, s):
 
 
 def _kernel(p: int, exp, c, rows: tuple, weights: tuple, acc: dict) -> dict:
-    """Add c * D_{e_p} v^exp to acc, over the root table rows, with the
-    weights (derivative, kappa, kappa_prime) of :func:`_weights`; returns acc."""
+    """Add c * Q D_{e_p} v^exp to acc, over the root table rows, with the
+    integer weights (Q, Q kappa, Q kappa_prime) of :func:`_weights`; returns acc."""
     d, k, kp = weights
     if exp[p]:
         _accumulate(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * (d * exp[p]))
@@ -145,13 +147,10 @@ def _scale(frame: str, ctx: ParamContext) -> int:
     return ctx.kappa.denominator
 
 
-def _weights(kind: str, frame: str, ctx: ParamContext) -> tuple:
-    """Kernel weights (derivative, kappa, kappa_prime): (1, kappa, kappa')
-    for the operators, and the integers (Q, Q kappa, Q kappa') for the images
-    Q D_p of kind "QD" that the pairing reads.  Q is a multiple of each
-    denominator, so each product is exact."""
-    if kind != "QD":
-        return 1, ctx.kappa, ctx.kappa_prime
+def _weights(frame: str, ctx: ParamContext) -> tuple:
+    """The integer kernel weights (Q, Q kappa, Q kappa') of the images Q D_p;
+    kappa' is 0 outside y0 and y4.  Q is a multiple of each denominator, so
+    each product is exact."""
     scale = _scale(frame, ctx)
     k, kp = ctx.kappa, ctx.kappa_prime
     return (
@@ -162,16 +161,16 @@ def _weights(kind: str, frame: str, ctx: ParamContext) -> tuple:
 
 
 class _Images(dict):
-    """The memo entry of one operator: exp -> terms of its image of v^exp,
-    computed on first lookup.  The inner factors of U and L come from the
-    kernel directly; only the outer image is stored."""
+    """The memo entry of one operator: exp -> integer terms of Q D_p, Q U_p
+    or Q^2 L applied to v^exp, computed on first lookup.  The inner factors
+    of U and L come from the kernel directly; only the outer image is stored."""
 
     def __init__(self, op: tuple, rows: tuple, weights: tuple):
         self.op, self.rows, self.weights = op, rows, weights
 
     def __missing__(self, exp):
         (kind, arg), rows, weights = self.op, self.rows, self.weights
-        if kind in ("D", "QD"):
+        if kind == "D":
             image = _kernel(arg, exp, 1, rows, weights, {})
         elif kind == "L":
             image = {}
@@ -202,7 +201,7 @@ def _memo(name, frame: str, nvars: int, ctx: ParamContext) -> dict:
     if entry is None:
         # operator names are tuples; "pair" and "nsjp" hold plain values
         entry = _MEMO_CACHE[key] = (
-            _Images(name, _roots(frame, nvars)[0], _weights(name[0], frame, ctx))
+            _Images(name, _roots(frame, nvars)[0], _weights(frame, ctx))
             if isinstance(name, tuple)
             else {}
         )
@@ -210,13 +209,16 @@ def _memo(name, frame: str, nvars: int, ctx: ParamContext) -> dict:
 
 
 def _apply(op: tuple, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """op f as the sum of c * (memoized image of v^exp) over the terms of f."""
+    """op f as the sum of n * (memoized integer image of v^exp) over the terms
+    n v^exp of F = den f, divided by den Q^k: k = 2 for a Laplacian, else 1."""
     images = _memo(op, f.frame, f.nvars, ctx)
+    den, terms = _integer_form(f)
+    den *= images.weights[0] ** (2 if op[0] == "L" else 1)
     acc: dict = {}
-    for exp, c in f.terms.items():
-        for e2, c2 in images[exp].items():
-            _accumulate(acc, e2, c * c2)
-    return SparsePoly._of(f.nvars, f.frame, acc)
+    for exp, n in terms.items():
+        for e2, c in images[exp].items():
+            _accumulate(acc, e2, n * c)
+    return SparsePoly._of(f.nvars, f.frame, {e: Fraction(n, den) for e, n in acc.items()})
 
 
 # ---------------------------------------------------------------------- entry points
@@ -394,13 +396,12 @@ class Dual(dict):
         self.frame, self.nvars = g.frame, g.nvars
         _, self.blocks = _roots(g.frame, g.nvars)
         self.scale = _scale(g.frame, ctx)
-        self.den = math.lcm(*(c.denominator for c in g.terms.values()))
+        self.den, terms = _integer_form(g)
         self.by_blocks: dict = {}  # degree on every component -> [(exp, G_exp)]
-        for exp, c in g.terms.items():
-            term = (exp, c.numerator * (self.den // c.denominator))
-            self.by_blocks.setdefault(tuple(sum(exp[s]) for s in self.blocks), []).append(term)
+        for exp, n in terms.items():
+            self.by_blocks.setdefault(tuple(sum(exp[s]) for s in self.blocks), []).append((exp, n))
         self.pairs = _memo("pair", g.frame, g.nvars, ctx)
-        self.images = [_memo(("QD", p), g.frame, g.nvars, ctx) for p in range(g.nvars)]
+        self.images = [_memo(("D", p), g.frame, g.nvars, ctx) for p in range(g.nvars)]
 
     def __missing__(self, a):
         pairs, images = self.pairs, self.images

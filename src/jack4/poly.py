@@ -323,6 +323,13 @@ def _accumulate(acc: dict, exp, coef) -> None:
         acc[exp] = coef
 
 
+def _integer_form(f: SparsePoly) -> tuple[int, dict]:
+    """(den, F) with den the least common denominator of the coefficients of
+    f and F = den * f as integer terms {exp: n}."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+
+
 # ---------------------------------------------------------------------- substitution
 
 
@@ -375,8 +382,7 @@ def _hadamard_change(f: SparsePoly, dst_frame: str) -> SparsePoly:
     integer numerators over a common denominator, so each output coefficient
     costs one Fraction at the end.
     """
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    terms = {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+    den, terms = _integer_form(f)
     weights: dict[tuple[int, int], list[int]] = {}
     for p, q in ((0, 1), (2, 3), (0, 2), (1, 3)):
         out: dict[tuple[int, ...], int] = {}

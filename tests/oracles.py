@@ -5,8 +5,9 @@ compared against exactly: permutation algebra for the group actions, the
 dominance order that the canonical order refines, the Fraction products of
 the closed forms for their integer versions, the linear forms of the
 half-Hadamard change for the butterflies, the y0 split for the tensor form
-of the extended pairing, and the Fraction recursion of the monomial pairing
-for the integer pairing and its dual vectors.
+of the extended pairing, the Fraction kernel of the operators for their
+integer images, and the Fraction recursion of the monomial pairing for the
+integer pairing and its dual vectors.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
-from jack4.ops import dunkl_a, dunkl_b, dunkl_d0
-from jack4.poly import _HADAMARD, SparsePoly, is_x_frame
+from jack4.ops import _quotient, _reflect, _roots, dunkl_a, dunkl_b, dunkl_d0
+from jack4.poly import _HADAMARD, SparsePoly, _accumulate, is_x_frame
 
 # ---------------------------------------------------------------------- permutations
 
@@ -145,6 +146,44 @@ def split_y0(f: SparsePoly) -> dict[int, SparsePoly]:
     for exp, coef in f.terms.items():
         parts.setdefault(exp[0], {})[exp[1:]] = coef
     return {k: SparsePoly(3, "y3", terms) for k, terms in parts.items()}
+
+
+# ---------------------------------------------------------------------- operators
+
+
+def _fraction_kernel(p, exp, c, rows, ctx, acc) -> dict:
+    """Add c * D_{e_p} v^exp to acc, over the root table rows, with the
+    Fraction weights (1, kappa, kappa'); returns acc."""
+    if exp[p]:
+        _accumulate(acc, exp[:p] + (exp[p] - 1,) + exp[p + 1:], c * exp[p])
+    for q, s in rows[p]:
+        w = ctx.kappa_prime if q is None else ctx.kappa
+        for e2, sign in _quotient(exp, p, q, s):
+            _accumulate(acc, e2, c * w * sign)
+    return acc
+
+
+def fraction_operator(op, f: SparsePoly, ctx) -> SparsePoly:
+    """op f for op = ("D", p), ("U", p) or ("L", positions) of ``jack4.ops``,
+    term by term in Fractions: D_p from the kernel, U_p f = D_p(v_p f) - kappa *
+    (sum of s_alpha f over the roots (q, s) of row p with q < p), and
+    L = sum of D_p^2 over the positions."""
+    (kind, arg), rows = op, _roots(f.frame, f.nvars)[0]
+    acc: dict = {}
+    for exp, c in f.terms.items():
+        if kind == "D":
+            _fraction_kernel(arg, exp, c, rows, ctx, acc)
+        elif kind == "L":
+            for p in arg:
+                for e2, c2 in _fraction_kernel(p, exp, c, rows, ctx, {}).items():
+                    _fraction_kernel(p, e2, c2, rows, ctx, acc)
+        else:  # "U"
+            _fraction_kernel(arg, exp[:arg] + (exp[arg] + 1,) + exp[arg + 1:], c, rows, ctx, acc)
+            for q, s in rows[arg]:
+                if q is not None and q < arg:
+                    e2, sign = _reflect(exp, arg, q, s)
+                    _accumulate(acc, e2, -sign * ctx.kappa * c)
+    return SparsePoly(f.nvars, f.frame, acc)
 
 
 # ---------------------------------------------------------------------- pairings

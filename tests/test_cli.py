@@ -142,6 +142,12 @@ USAGE_ERRORS = [
     *(((cmd, "--gamma", gamma, "--n", n, "--kappa", "1"),
        "error: --gamma needs three parts and --n must be nonnegative")
       for cmd in ("basis", "hermite") for gamma, n in (("1,0", "0"), ("1,0,0", "-1"))),
+    # a flag that the mode does not read is refused, not ignored; hermite
+    # --lambda reads --n as its Laguerre index
+    (("basis", "--lambda", "1,0,0", "--n", "3"), "error: --n needs --gamma"),
+    (("basis", "--lambda", "1,0,0", "--n", "0"), "error: --n needs --gamma"),
+    *(((cmd, "--gamma", "1,0,0", "--s", s), "error: --s needs --lambda")
+      for cmd in ("basis", "hermite") for s in ("0", "1")),
 ]
 
 
@@ -252,6 +258,19 @@ GOLDEN_STDOUT = {
     ("basis", "--gamma", "3,1,2", "--n", "1", "--kappa", "3/7", "--kappa-prime", "2",
      "--format", "csv"):
         "a3a0c640c4e21efd1b56bf5457a8dfe5f74ce9fc2a5dbb782b4385bf8e91c94c",
+    # operator output where the integer images carry Q = lcm(q, q') = 21 in
+    # y0 and y4, and Q = q = 7 in the x frames and y3
+    ("verify", "--suite", "identities", "--max-degree", "3", "--kappa", "5/7",
+     "--kappa-prime", "1/3"):
+        "466ef43a54a481bc3b8e8dbcc368e359bbae09665a90871a06b14ae785d2686f",
+    ("verify", "--suite", "spectrum", "--max-degree", "4", "--kappa", "5/7",
+     "--kappa-prime", "1/3"):
+        "9b7987700c8b632a701ca60ff46507123e982f05719bf9c4dfed980a82d9e4ee",
+    ("hermite", "--gamma", "2,1,1", "--n", "3", "--kappa", "5/7", "--kappa-prime", "1/3",
+     "--format", "csv"):
+        "528c641cc750f5850fd681efb313bd46b2b8875752fe3eb925c030ccb89d0282",
+    ("verify", "--suite", "eigen", "--max-degree", "4", "--kappa", "5/7"):
+        "a8c58dbc4e2286b51a337249cee7156a991453dd16ee38524dc85c658a768014",
 }
 
 

@@ -26,7 +26,8 @@ from jack4.ops import (
     pairing_kappa,
 )
 from jack4.poly import SparsePoly, substitute_linear, to_x, to_y
-from oracles import dominates, pairing_by_fractions, split_y0
+from oracles import dominates, fraction_operator, pairing_by_fractions, split_y0
+from oracles import spectral_vector as oracle_spectral_vector
 
 KAPPAS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(5, 7))
 PARAM_PAIRS = tuple(
@@ -455,6 +456,33 @@ def test_memoized_operators_match_definitions():
         ctx = make_context(kappa, kp, 3)
         for name, apply, _, frame in checks:
             assert [apply(f, ctx) for f in cases[frame]] == expected[kappa, kp][name], name
+
+
+def test_integer_images_match_fraction_kernel():
+    # _apply scales the integer images Q D_p, Q U_p and Q^2 L back once; the
+    # Fraction kernel with weights (1, kappa, kappa') is the reference.  nsjp
+    # pushes its solved values into the integer U images, so it must still
+    # solve the Fraction eigen-equations.
+    u_positions = {"x3": range(3), "x4": range(4), "y3": range(3), "y4": range(1, 4), "y0": ()}
+    clear_memo()
+    # the memo stays warm from one parameter pair to the next
+    for kappa, kp in ORACLE_PARAMS:
+        ctx = make_context(kappa, kp, 3)
+        for frame, nvars in (("x3", 3), ("x4", 4), ("y3", 3), ("y4", 4), ("y0", 1)):
+            frame_ops = [("D", p) for p in range(nvars)] + [("U", p) for p in u_positions[frame]]
+            frame_ops += [("L", table[frame])
+                          for table in ops._LAPLACIAN_POSITIONS.values() if frame in table]
+            for exp in combin.compositions_up_to(5, nvars):
+                f = SparsePoly.monomial(exp, frame)
+                for op in frame_ops:
+                    assert ops._apply(op, f, ctx) == fraction_operator(op, f, ctx), (op, f)
+        for alpha in combin.compositions_up_to(4, 3):
+            zeta = nsjp(alpha, ctx).poly
+            for i, xi in enumerate(oracle_spectral_vector(alpha, ctx)):
+                assert fraction_operator(("U", i), zeta, ctx) == xi * zeta, (alpha, i)
+    for key, entry in ops._MEMO_CACHE.items():
+        if isinstance(key[0], tuple):
+            assert all(type(c) is int for image in entry.values() for c in image.values()), key
 
 
 def test_euler():
