@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -57,7 +58,17 @@ def _parse_label_arg(text: str) -> tuple[int, ...]:
     return parts
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``jack4`` argument parser, built once per process and shared by
+    every ``main`` call.
+
+    Building it (seven subcommands, each ``add_argument`` making a help
+    formatter) costs far more than parsing one request, and parsing keeps
+    no state on it: ``parse_args`` returns a fresh namespace, the defaults
+    are immutable, and help and usage text are formatted when printed.  It
+    is built on first use, not at import, and ``cache_clear`` drops it.
+    """
     parser = argparse.ArgumentParser(prog="jack4", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -39,8 +39,8 @@ class McConfig:
     kappa_prime: float
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        if self.samples < 2:
+            raise ValueError("need at least two samples for a standard error")
         if self.kappa < 0 or self.kappa_prime < 0:
             raise ValueError("parameters must be nonnegative")
 
@@ -155,7 +155,7 @@ def mc_inner_products(
     results = []
     for t, t_sq in zip(total, total_sq):
         mean = t / n
-        variance = max(0.0, (t_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+        variance = max(0.0, (t_sq - n * mean * mean) / (n - 1))
         results.append((mean, math.sqrt(variance / n)))
     return results
 

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
+from jack4 import cli
 from jack4.cli import main
 
 
@@ -131,8 +133,8 @@ def test_output_byte_identical(capsys):
     assert out1 == out2
 
 
-# Each error path of the exact subcommands: (argv, the one stderr line).
-# Every one exits 2 with nothing on stdout.
+# Each error path that a subcommand reaches after parsing: (argv, the one
+# stderr line).  Every one exits 2 with nothing on stdout.
 USAGE_ERRORS = [
     *(((cmd, *extra, "--kappa", "0"), "error: this command requires kappa > 0")
       for cmd, *extra in (("basis", "--gamma", "1,0,0"), ("hermite", "--gamma", "1,0,0"),
@@ -148,6 +150,7 @@ USAGE_ERRORS = [
     (("basis", "--lambda", "1,0,0", "--n", "0"), "error: --n needs --gamma"),
     *(((cmd, "--gamma", "1,0,0", "--s", s), "error: --s needs --lambda")
       for cmd in ("basis", "hermite") for s in ("0", "1")),
+    (("mc-check", "--samples", "1"), "error: need at least two samples for a standard error"),
 ]
 
 
@@ -279,3 +282,31 @@ def test_golden_stdout(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys):
+    """Every request of one process parses with the same parser: each golden
+    command, forward and then in reverse, with a usage error after each,
+    gives the pinned bytes."""
+    assert cli.build_parser() is cli.build_parser()
+    assert callable(cli.build_parser.cache_clear)  # the per-round benchmark reset
+    golden = list(GOLDEN_STDOUT)
+    for i, argv in enumerate(golden + golden[::-1]):
+        code, out, _ = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, GOLDEN_STDOUT[argv]), argv
+        error_argv, line = USAGE_ERRORS[i % len(USAGE_ERRORS)]
+        assert run(capsys, *error_argv) == (2, "", line + "\n"), error_argv
+
+
+def test_help_is_stable_and_names_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(cli._COMMANDS)
+    for argv in [("--help",)] + [(cmd, "--help") for cmd in cli._COMMANDS]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith("usage: jack4"), argv
+        assert run(capsys, *argv) == (0, out, ""), argv
+        if argv == ("--help",):
+            assert all(cmd in out for cmd in cli._COMMANDS)

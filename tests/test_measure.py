@@ -65,10 +65,7 @@ def mc_inner_product_by_pair(f, g, cfg):
 
     n = cfg.samples
     mean = total / n
-    if n > 1:
-        variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    else:
-        variance = 0.0
+    variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     return mean, math.sqrt(variance / n)
 
 
@@ -98,6 +95,9 @@ def test_constant_matches_selberg_reduction(kappa):
 def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(0, 1, 1.0, 0.0)
+    # one sample has no standard error; it is refused, not reported as 0
+    with pytest.raises(ValueError, match="need at least two samples for a standard error"):
+        McConfig(1, 1, 1.0, 0.0)
     with pytest.raises(ValueError):
         McConfig(10, 1, -1.0, 0.0)
 
@@ -155,7 +155,7 @@ def test_mc_frame_handling():
 
 @pytest.mark.parametrize("kappa, kappa_prime", [(Fraction(1), Fraction(1, 2)),
                                                 (Fraction(1, 2), Fraction(2))])
-@pytest.mark.parametrize("samples", [1, 20000, _BATCH + 7])
+@pytest.mark.parametrize("samples", [2, 20000, _BATCH + 7])
 def test_shared_sample_matches_the_per_pair_route(kappa, kappa_prime, samples):
     """Every estimate from one shared sample is, bit for bit, what the pair
     gets with its own draws: the mc-check spot pairs in y4, the same pairs
