@@ -145,7 +145,7 @@ def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list[str]]]) -> N
 
 
 def _poly_csv_rows(f) -> tuple[list[str], list[list[str]]]:
-    header = [f"e_{name}" for name in var_names(f.frame, f.nvars)] + ["coef"]
+    header = [f"e_{name}" for name in var_names(f.frame)] + ["coef"]
     rows = [[str(e) for e in exp] + [format_rational(c)] for exp, c in f.ordered_terms()]
     return header, rows
 

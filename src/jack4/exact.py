@@ -48,7 +48,7 @@ def parse_rational(text: str) -> Rat:
 
 def format_rational(value) -> str:
     """Render as ``"p/q"``, or bare ``"p"`` when the denominator is 1."""
-    value = Fraction(value)
+    value = as_rational(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

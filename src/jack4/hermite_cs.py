@@ -19,7 +19,7 @@ from math import factorial
 
 from . import combin
 from .basis4 import BasisLabel, basis_poly, invariant_F
-from .exact import ParamContext, Rat
+from .exact import ParamContext, Rat, as_rational
 from .ops import cherednik_b, d0_squared, dunkl_d0, euler, laplacian, laplacian_b
 from .poly import SparsePoly, Y0, Y3, Y4, embed_y0, embed_y3
 
@@ -47,7 +47,7 @@ def laguerre(n: int, a) -> SparsePoly:
     as an exact univariate polynomial in t."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    a = Fraction(a)
+    a = as_rational(a)
     for i in range(1, n + 1):
         if a + i == 0:
             raise ValueError(f"vanishing factor (a+1)_{i} for a = {a}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import combin
 from .exact import ParamContext, Rat
-from .ops import _apply, _memo, _scale
+from .ops import _apply, _memo, _weights
 from .poly import SparsePoly, _accumulate, x_frame
 
 
@@ -52,6 +52,7 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
     if cached is not None:
         return cached
 
+    scale = _weights(frame, ctx)[0]  # the memo holds Q U_i
     xi_alpha = combin.spectral_vector(alpha, ctx)
     monos = combin.compositions_of_weight(combin.weight(alpha), nvars)
     coeffs = {alpha: Fraction(1)}
@@ -67,7 +68,7 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
         value = running[sel].get(m, 0) / (xi_alpha[sel] - xi[sel])
         if value:
             coeffs[m] = value
-            value /= _scale(frame, ctx)  # the memo holds Q U_i
+            value /= scale
             for i, acc in running.items():
                 for exp, c in _memo(("U", i), frame, nvars, ctx)[m].items():
                     _accumulate(acc, exp, value * c)

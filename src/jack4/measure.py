@@ -43,6 +43,8 @@ class McConfig:
             raise ValueError("need at least two samples for a standard error")
         if self.kappa < 0 or self.kappa_prime < 0:
             raise ValueError("parameters must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative; seeds must be nonnegative")
 
 
 def normalization_constant(kappa: float, kappa_prime: float) -> float:

@@ -4,37 +4,34 @@ Every operator is one formula, the Dunkl operator of a root system,
 
     D_xi f = df/dxi + sum_{alpha > 0} kappa_alpha <alpha, xi> (f - s_alpha f) / <alpha, v>,
 
-with xi = e_p, read from a per-frame root table.  Row p lists the roots with
-<alpha, e_p> = 1, as (q, s) for alpha = v_p - s v_q, whose reflection
-exchanges v_p and s v_q (a transposition for s = +1, tau_pq for s = -1), or
-as q = None for alpha = v_p, whose reflection negates v_p:
-
-* x frames: A_{N-1}, roots x_p - x_q, weight kappa; the type-A D_i.
-* y3, and y_1..y_3 of y4: D3 = A3, roots y_p -+ y_q, weight kappa; the DB_i.
-  These are the images of the S4 roots x_i - x_j.  There is no short root,
-  so this is not the hyperoctahedral B3.
-* y_0 of y0 and y4: A1, the root y_0, weight kappa_prime; D0.
+with xi = e_p, over the root system of the frame, read from the frame table
+:data:`jack4.poly._FRAMES`.  :func:`_roots` expands its components into one
+row per position p, listing the roots with <alpha, e_p> = 1 as (q, s) for
+alpha = v_p - s v_q, whose reflection exchanges v_p and s v_q (a
+transposition for s = +1, tau_pq for s = -1), or as q = None for the A1 root
+alpha = v_p, whose reflection negates v_p.  So D_p is the type-A D_i in the
+x frames, DB_i on y_1..y_3 of y3 and y4, and D0 on y_0 of y0 and y4.
 
 The Cherednik operators of the same tables are U_p f = D_p(v_p f) - kappa *
 (sum of s_alpha f over the roots (q, s) of row p with q < p): U_i for A_{N-1}
-and UB_i for D3.  The y-frame Laplacians are sums of D_p^2 over a table of
-positions p.  The Dunkl operators of the extended group keep their x4
-definition, D'_i f = D_i f + (kappa_prime / (2 y_0)) (f - f sigma_0).
+and UB_i for D3.  The y-frame Laplacians are sums of D_p^2 over the positions
+of named coordinates.  The Dunkl operators of the extended group keep their
+x4 definition, D'_i f = D_i f + (kappa_prime / (2 y_0)) (f - f sigma_0).
 
 D_p, U_p and these Laplacians are linear and graded, so each is applied to f
 as the sum of c times its image of v^exp over the terms c v^exp of f.  Each
 image is computed once and kept in the one memo _MEMO_CACHE, keyed by
 ("D", p), ("U", p) or ("L", positions) with frame, nvars and kappa, and
-kappa_prime appended in the frames with a y_0 root (y0, y4); x-frame and y3
-entries are shared across kappa_prime.  The same memo holds the monomial
+kappa_prime appended in the frames with a y_0 root (:data:`_Y0_FRAMES`); the
+other entries are shared across kappa_prime.  The same memo holds the monomial
 pairings, the records of :func:`jack4.jack.nsjp` and the symmetric Jacks, and,
 under the y3 key (kappa only), the kappa_prime-free basis polynomials and
 norms of :mod:`jack4.basis4`.  Every entry is written
 once with one deterministic value, so concurrent get-or-compute is harmless.
 
 The images are integers.  With kappa = p/q and kappa_prime = p'/q', let
-Q = q in the x frames and y3, and Q = lcm(q, q') in y0 and y4.  The kernel
-runs on the weights (Q, Q kappa, Q kappa'), so the memo holds Q D_p v^exp,
+Q = lcm(q, q') in the frames with a y_0 root and Q = q in the others.  The
+kernel runs on the weights (Q, Q kappa, Q kappa'), so the memo holds Q D_p v^exp,
 Q U_p v^exp and Q^2 L v^exp with integer coefficients.  :func:`_apply` scales
 f once to integers, F = den f, and divides each output term once, by den Q
 (den Q^2 for a Laplacian).  The pairings stay in integers throughout:
@@ -55,29 +52,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import ParamContext, Rat
-from .poly import SparsePoly, Y0, Y3, Y4, _accumulate, _integer_form, is_x_frame, to_x, to_y
+from .poly import (SparsePoly, Y3, Y4, _FRAMES, _accumulate, _integer_form, frame_spec,
+                   is_x_frame, position, to_x, to_y)
 
 
 # ---------------------------------------------------------------------- root tables
 
 
 @lru_cache(maxsize=None)
-def _roots(frame: str, nvars: int) -> tuple:
+def _roots(frame: str) -> tuple:
     """The root table of a frame: a row of (q, s) per position p, and the
     slices of positions spanned by its irreducible components.  A monomial
     pairing is zero unless the two degrees agree on every component."""
-    # (first position, end, signs s of the roots v_p - s v_q); signs None
-    # marks a one-position A1 component, the root v_p weighted by kappa_prime
-    if is_x_frame(frame):
-        components = ((0, nvars, (1,)),)
-    elif frame == Y3:
-        components = ((0, 3, (1, -1)),)
-    elif frame == Y4:
-        components = ((0, 1, None), (1, 4, (1, -1)))
-    elif frame == Y0:
-        components = ((0, 1, None),)
-    else:
-        raise ValueError(f"no root system in frame {frame!r}")
+    components = frame_spec(frame).components
     rows = []
     for lo, hi, signs in components:
         for p in range(lo, hi):
@@ -86,6 +73,12 @@ def _roots(frame: str, nvars: int) -> tuple:
             else:
                 rows.append(tuple((q, s) for q in range(lo, hi) if q != p for s in signs))
     return tuple(rows), tuple(slice(lo, hi) for lo, hi, _ in components)
+
+
+# The frames with a y_0 root, whose operators carry kappa_prime.
+_Y0_FRAMES = frozenset(
+    frame for frame, spec in _FRAMES.items() if any(s is None for _, _, s in spec.components)
+)
 
 
 def _quotient(exp, p, q, s):
@@ -138,26 +131,17 @@ def _kernel(p: int, exp, c, rows: tuple, weights: tuple, acc: dict) -> dict:
     return acc
 
 
-def _scale(frame: str, ctx: ParamContext) -> int:
-    """Q = q for kappa = p/q, and lcm(q, q') for kappa_prime = p'/q' in the
-    frames with a y_0 root: Q D_p maps integer coefficients to integers, so
-    Q^|a| <v^a, v^b> is an integer."""
-    if frame in (Y0, Y4):
-        return math.lcm(ctx.kappa.denominator, ctx.kappa_prime.denominator)
-    return ctx.kappa.denominator
-
-
 def _weights(frame: str, ctx: ParamContext) -> tuple:
-    """The integer kernel weights (Q, Q kappa, Q kappa') of the images Q D_p;
-    kappa' is 0 outside y0 and y4.  Q is a multiple of each denominator, so
-    each product is exact."""
-    scale = _scale(frame, ctx)
+    """The integer kernel weights (Q, Q kappa, Q kappa') of the images Q D_p,
+    with Q = q for kappa = p/q, and Q = lcm(q, q') for kappa_prime = p'/q' in
+    the frames with a y_0 root; kappa' is 0 in the others.  Q is a multiple
+    of each denominator, so each product is exact, Q D_p maps integer
+    coefficients to integers, and Q^|a| <v^a, v^b> is an integer."""
     k, kp = ctx.kappa, ctx.kappa_prime
-    return (
-        scale,
-        k.numerator * (scale // k.denominator),
-        kp.numerator * (scale // kp.denominator) if frame in (Y0, Y4) else 0,
-    )
+    if frame not in _Y0_FRAMES:
+        return k.denominator, k.numerator, 0
+    scale = math.lcm(k.denominator, kp.denominator)
+    return scale, k.numerator * (scale // k.denominator), kp.numerator * (scale // kp.denominator)
 
 
 class _Images(dict):
@@ -195,13 +179,13 @@ def _memo(name, frame: str, nvars: int, ctx: ParamContext) -> dict:
     # The parameters enter the key as integer ratios: a tuple of ints hashes
     # in C, while Fraction.__hash__ runs in Python on every lookup.
     key = (name, frame, nvars, ctx.kappa.as_integer_ratio())
-    if frame in (Y0, Y4):
+    if frame in _Y0_FRAMES:
         key += (ctx.kappa_prime.as_integer_ratio(),)
     entry = _MEMO_CACHE.get(key)
     if entry is None:
         # operator names are tuples; "pair" and "nsjp" hold plain values
         entry = _MEMO_CACHE[key] = (
-            _Images(name, _roots(frame, nvars)[0], _weights(frame, ctx))
+            _Images(name, _roots(frame)[0], _weights(frame, ctx))
             if isinstance(name, tuple)
             else {}
         )
@@ -224,34 +208,21 @@ def _apply(op: tuple, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 # ---------------------------------------------------------------------- entry points
 
 
-def _a_position(f: SparsePoly, i: int) -> int:
-    """Exponent position of x_i for a type-A operator index i."""
-    if not is_x_frame(f.frame):
-        raise ValueError(f"type-A operators need an x frame, got {f.frame!r}")
-    if not 1 <= i <= f.nvars:
-        raise ValueError(f"operator index {i} out of range")
-    return i - 1
-
-
 def _b_position(frame: str, i: int) -> int:
     """Exponent position of y_i for a B-operator index i in {1, 2, 3}."""
     if not 1 <= i <= 3:
         raise ValueError(f"B operator index {i} out of range")
-    if frame == Y3:
-        return i - 1
-    if frame == Y4:
-        return i
-    raise ValueError(f"B operators act on y3 or y4 frames, got {frame!r}")
+    return position(frame, f"y{i}")
 
 
 def dunkl_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Type-A Dunkl operator D_i (1-based i) in an x-frame."""
-    return _apply(("D", _a_position(f, i)), f, ctx)
+    return _apply(("D", position(f.frame, f"x{i}")), f, ctx)
 
 
 def cherednik_a(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Type-A Cherednik operator U_i; triangular on monomials in the dominance order."""
-    return _apply(("U", _a_position(f, i)), f, ctx)
+    return _apply(("U", position(f.frame, f"x{i}")), f, ctx)
 
 
 def dunkl_b(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
@@ -266,9 +237,7 @@ def cherednik_b(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 
 def dunkl_d0(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """D0 = d/dy_0 + (kappa_prime / y_0)(1 - sigma_0) on the y0 or y4 frame."""
-    if f.frame not in (Y0, Y4):
-        raise ValueError(f"dunkl_d0 needs the y0 or y4 frame, got {f.frame!r}")
-    return _apply(("D", 0), f, ctx)
+    return _apply(("D", position(f.frame, "y0")), f, ctx)
 
 
 def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
@@ -280,7 +249,7 @@ def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """
     if f.frame != "x4":
         raise ValueError(f"dunkl_prime needs the x4 frame, got {f.frame!r}")
-    out = _apply(("D", _a_position(f, i)), f, ctx)
+    out = _apply(("D", position(f.frame, f"x{i}")), f, ctx)
     if ctx.kappa_prime:
         odd = {
             (exp[0] - 1,) + exp[1:]: c * ctx.kappa_prime
@@ -294,19 +263,18 @@ def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 # ---------------------------------------------------------------------- Laplacians, Euler
 
 
-# Positions p of each Laplacian sum_p D_{e_p}^2, by kind and frame.
-_LAPLACIAN_POSITIONS = {
-    "B": {Y3: (0, 1, 2), Y4: (1, 2, 3)},
-    "D0": {Y0: (0,), Y4: (0,)},
-    "H": {Y4: (0, 1, 2, 3)},
-}
+# The coordinates of each Laplacian sum_p D_{e_p}^2, by kind.  A Laplacian
+# exists in the frames that have all of its coordinates.
+_LAPLACIAN_COORDINATES = {"B": ("y1", "y2", "y3"), "D0": ("y0",), "H": ("y0", "y1", "y2", "y3")}
+
+
+@lru_cache(maxsize=None)
+def _laplacian_positions(kind: str, frame: str) -> tuple:
+    return tuple(position(frame, name) for name in _LAPLACIAN_COORDINATES[kind])
 
 
 def _laplacian(kind: str, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    positions = _LAPLACIAN_POSITIONS[kind].get(f.frame)
-    if positions is None:
-        raise ValueError(f"no {kind} Laplacian in frame {f.frame!r}")
-    return _apply(("L", positions), f, ctx)
+    return _apply(("L", _laplacian_positions(kind, f.frame)), f, ctx)
 
 
 def laplacian_b(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
@@ -330,9 +298,7 @@ def laplacian_h(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
         for i in (1, 2, 3, 4):
             out = out + dunkl_prime(i, dunkl_prime(i, f, ctx), ctx)
         return out
-    if f.frame == Y4:
-        return _laplacian("H", f, ctx)
-    raise ValueError(f"laplacian_h needs x4 or y4, got {f.frame!r}")
+    return _laplacian("H", f, ctx)
 
 
 def laplacian(kind: str, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
@@ -383,7 +349,7 @@ class Dual(dict):
     g is scaled once to integers, G = den * g with den the least common
     denominator of its coefficients, and the dual vector is
 
-        w[a] = sum_b G_b Q^|a| <v^a, v^b>   (Q from :func:`_scale`),
+        w[a] = sum_b G_b Q^|a| <v^a, v^b>   (Q from :func:`_weights`),
 
     an integer filled on first lookup of the monomial a, from the integer
     monomial pairings of the memo.  ``by_blocks`` keeps G grouped by the
@@ -394,8 +360,8 @@ class Dual(dict):
 
     def __init__(self, g: SparsePoly, ctx: ParamContext):
         self.frame, self.nvars = g.frame, g.nvars
-        _, self.blocks = _roots(g.frame, g.nvars)
-        self.scale = _scale(g.frame, ctx)
+        _, self.blocks = _roots(g.frame)
+        self.scale = _weights(g.frame, ctx)[0]
         self.den, terms = _integer_form(g)
         self.by_blocks: dict = {}  # degree on every component -> [(exp, G_exp)]
         for exp, n in terms.items():
@@ -443,8 +409,6 @@ def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     (:class:`Dual`) paired with f: one integer dot product per degree and
     one Fraction at the end.
     """
-    if f.frame != g.frame or f.nvars != g.nvars:
-        raise ValueError("pairing needs matching frames")
     if not (is_x_frame(f.frame) or f.frame == Y3):
         raise ValueError(f"pairing_kappa is defined on x frames and y3, got {f.frame!r}")
     return Dual(g, ctx).pair(Dual(f, ctx))

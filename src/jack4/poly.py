@@ -3,13 +3,9 @@
 Polynomials carry a coordinate-frame tag so that quantities written in the
 x-coordinates (the natural coordinates of R^N with the permutation action)
 cannot silently mix with quantities written in the y-coordinates (the
-half-Hadamard orthonormal coordinates y_0..y_3).  Frames:
-
-* ``"x{N}"`` -- N type-A variables x_1..x_N (``"x4"``, ``"x3"``, ...);
-* ``"y4"``  -- the four variables (y_0, y_1, y_2, y_3), index 0 being y_0;
-* ``"y3"``  -- (y_1, y_2, y_3);
-* ``"y0"``  -- the single variable y_0;
-* ``"t"``   -- a scratch univariate frame (Laguerre argument).
+half-Hadamard orthonormal coordinates y_0..y_3).  Every fact about a frame,
+its coordinate names and the components of its root system, is read from
+the one table :data:`_FRAMES` through :func:`frame_spec`.
 
 The x4 <-> y4 change of coordinates is exact.  The half-Hadamard matrix is
 H2 (x) H2 with y_1 and y_2 swapped, so :func:`to_y` and :func:`to_x` run as
@@ -26,6 +22,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import combin
 from .exact import Rat, as_rational, format_rational, parse_rational
@@ -34,8 +32,6 @@ X4 = "x4"
 Y4 = "y4"
 Y3 = "y3"
 Y0 = "y0"
-
-_FIXED_FRAME_NVARS = {Y4: 4, Y3: 3, Y0: 1, "t": 1}
 
 # Rows of the half-Hadamard matrix: y_i = <x, v_i> with v_i = _HADAMARD[i] / 2.
 # The matrix is symmetric and orthogonal, hence an involution: x = y M as well.
@@ -57,28 +53,61 @@ def is_x_frame(frame: str) -> bool:
     return frame.startswith("x")
 
 
-def _check_frame(frame: str, nvars: int) -> None:
-    if is_x_frame(frame):
-        if frame != f"x{nvars}":
-            raise ValueError(f"frame {frame!r} inconsistent with nvars={nvars}")
-    elif frame in _FIXED_FRAME_NVARS:
-        if nvars != _FIXED_FRAME_NVARS[frame]:
-            raise ValueError(f"frame {frame!r} requires nvars={_FIXED_FRAME_NVARS[frame]}")
-    else:
+class FrameSpec(NamedTuple):
+    """One row of the frame table.  ``names`` are the coordinate names by
+    exponent position.  ``components`` are the irreducible components of the
+    root system as (lo, hi, signs): the positions lo..hi-1 carry the roots
+    v_p - s v_q for s in signs, weighted by kappa, or, for signs None, the
+    one position lo carries the A1 root v_lo, weighted by kappa_prime."""
+
+    names: tuple[str, ...]
+    components: tuple
+
+
+# The frames of fixed size; the x frames x{N} are built by frame_spec.  The
+# S4 roots x_i - x_j of x4 are the D3 roots y_i -+ y_j of y4, and y_0 spans
+# the A1 factor of the extended group.  "t" is a scratch univariate frame
+# (the Laguerre argument) with no root system.
+_FRAMES = {
+    Y4: FrameSpec(("y0", "y1", "y2", "y3"), ((0, 1, None), (1, 4, (1, -1)))),
+    Y3: FrameSpec(("y1", "y2", "y3"), ((0, 3, (1, -1)),)),
+    Y0: FrameSpec(("y0",), ((0, 1, None),)),
+    "t": FrameSpec(("t",), ()),
+}
+
+
+@lru_cache(maxsize=None)
+def frame_spec(frame: str) -> FrameSpec:
+    """The coordinate names and root components of a frame: a row of
+    :data:`_FRAMES`, or for x{N} the type-A roots x_p - x_q of x_1..x_N."""
+    spec = _FRAMES.get(frame)
+    if spec is not None:
+        return spec
+    digits = frame[1:]
+    if not (frame.startswith("x") and digits.isdigit() and frame == x_frame(int(digits))):
         raise ValueError(f"unknown frame {frame!r}")
+    n = int(digits)
+    return FrameSpec(tuple(f"x{i}" for i in range(1, n + 1)), ((0, n, (1,)),))
 
 
-def var_names(frame: str, nvars: int) -> list[str]:
+@lru_cache(maxsize=None)
+def position(frame: str, name: str) -> int:
+    """The exponent position of the coordinate ``name`` in a frame."""
+    names = frame_spec(frame).names
+    if name not in names:
+        raise ValueError(f"frame {frame!r} has no coordinate {name}")
+    return names.index(name)
+
+
+def _check_frame(frame: str, nvars: int) -> None:
+    n = len(frame_spec(frame).names)
+    if nvars != n:
+        raise ValueError(f"frame {frame!r} requires nvars={n}")
+
+
+def var_names(frame: str) -> tuple[str, ...]:
     """Display names of the coordinates of a frame."""
-    if is_x_frame(frame):
-        return [f"x{i}" for i in range(1, nvars + 1)]
-    if frame == Y4:
-        return ["y0", "y1", "y2", "y3"]
-    if frame == Y3:
-        return ["y1", "y2", "y3"]
-    if frame == Y0:
-        return ["y0"]
-    return ["t"]
+    return frame_spec(frame).names
 
 
 class SparsePoly:
@@ -154,7 +183,7 @@ class SparsePoly:
 
     def evaluate(self, point) -> Rat:
         """Exact value at a point of rationals."""
-        point = [Fraction(p) for p in point]
+        point = [as_rational(p) for p in point]
         if len(point) != self.nvars:
             raise ValueError("point length mismatch")
         total = Fraction(0)
@@ -255,20 +284,7 @@ class SparsePoly:
             if i != 0 or self.nvars != 4:
                 raise ValueError("only the y0 sign change exists in the x4 frame")
             return _hadamard_change(_hadamard_change(self, Y4).sign_change(0), X4)
-        if self.frame == Y4:
-            pos = i
-            if not 0 <= pos <= 3:
-                raise ValueError("index out of range for y4")
-        elif self.frame == Y3:
-            if not 1 <= i <= 3:
-                raise ValueError("index out of range for y3")
-            pos = i - 1
-        elif self.frame == Y0:
-            if i != 0:
-                raise ValueError("index out of range for y0")
-            pos = 0
-        else:
-            raise ValueError(f"sign change undefined in frame {self.frame!r}")
+        pos = position(self.frame, f"y{i}")
         return SparsePoly._of(
             self.nvars,
             self.frame,
@@ -295,7 +311,7 @@ class SparsePoly:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        names = var_names(self.frame, self.nvars)
+        names = var_names(self.frame)
         parts = []
         for exp, coef in self.ordered_terms():
             factors = [

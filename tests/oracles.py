@@ -168,7 +168,7 @@ def fraction_operator(op, f: SparsePoly, ctx) -> SparsePoly:
     term by term in Fractions: D_p from the kernel, U_p f = D_p(v_p f) - kappa *
     (sum of s_alpha f over the roots (q, s) of row p with q < p), and
     L = sum of D_p^2 over the positions."""
-    (kind, arg), rows = op, _roots(f.frame, f.nvars)[0]
+    (kind, arg), rows = op, _roots(f.frame)[0]
     acc: dict = {}
     for exp, c in f.terms.items():
         if kind == "D":

@@ -151,6 +151,7 @@ USAGE_ERRORS = [
     *(((cmd, "--gamma", "1,0,0", "--s", s), "error: --s needs --lambda")
       for cmd in ("basis", "hermite") for s in ("0", "1")),
     (("mc-check", "--samples", "1"), "error: need at least two samples for a standard error"),
+    (("mc-check", "--seed", "-1"), "error: seed -1 is negative; seeds must be nonnegative"),
 ]
 
 
@@ -274,6 +275,10 @@ GOLDEN_STDOUT = {
         "528c641cc750f5850fd681efb313bd46b2b8875752fe3eb925c030ccb89d0282",
     ("verify", "--suite", "eigen", "--max-degree", "4", "--kappa", "5/7"):
         "a8c58dbc4e2286b51a337249cee7156a991453dd16ee38524dc85c658a768014",
+    # the y3 CSV header, e_y1,e_y2,e_y3, comes from the frame's coordinate names
+    ("basis", "--lambda", "2,1,0", "--s", "1", "--kappa", "1/2", "--kappa-prime", "2",
+     "--format", "csv"):
+        "5124db388c9089ae4ab8a5454be7ae2d8075bf75fbcae9e4c87eff64e78ac10d",
 }
 
 

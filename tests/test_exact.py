@@ -26,6 +26,9 @@ def test_format():
     assert format_rational(Fraction(1, 2)) == "1/2"
     assert format_rational(Fraction(-7, 3)) == "-7/3"
     assert format_rational(Fraction(5)) == "5"
+    assert format_rational("0.1") == "1/10"
+    with pytest.raises(ValueError, match="float"):
+        format_rational(0.1)
 
 
 def test_parse():

@@ -62,6 +62,13 @@ def test_laguerre_values():
         laguerre(2, Fraction(-2))  # (a+1)_2 vanishes
 
 
+def test_laguerre_refuses_float_parameter():
+    with pytest.raises(ValueError, match="float"):
+        laguerre(1, 0.1)
+    t = SparsePoly.variable(0, 1, "t")
+    assert laguerre(1, "0.1") == Fraction(11, 10) - t
+
+
 def test_laguerre_hermite_identity(ctx_each_pair):
     # exp(-D0^2/2) y0^{2n} = (-2)^n n! L_n^{kp-1/2}(y0^2/2) and the odd twin
     ctx = ctx_each_pair

@@ -100,6 +100,9 @@ def test_mc_config_validation():
         McConfig(1, 1, 1.0, 0.0)
     with pytest.raises(ValueError):
         McConfig(10, 1, -1.0, 0.0)
+    # refused before any image is built, with a message that names the seed
+    with pytest.raises(ValueError, match="seed -1 is negative"):
+        McConfig(10, -1, 1.0, 0.0)
 
 
 def test_mc_deterministic_and_seed_sensitive():

@@ -25,7 +25,7 @@ from jack4.ops import (
     pairing_extended,
     pairing_kappa,
 )
-from jack4.poly import SparsePoly, substitute_linear, to_x, to_y
+from jack4.poly import SparsePoly, substitute_linear, to_x, to_y, var_names
 from oracles import dominates, fraction_operator, pairing_by_fractions, split_y0
 from oracles import spectral_vector as oracle_spectral_vector
 
@@ -142,6 +142,50 @@ def test_dunkl_a_against_sympy(ctx):
     for f in cases:
         for i in (1, 2, 3):
             assert to_sympy(dunkl_a(i, f, ctx)) == sympy_dunkl_a(i, f, kap)
+
+
+def _one(nvars, frame):
+    return SparsePoly.one(nvars, frame)
+
+
+_CTX = make_context(Fraction(1, 2), Fraction(2), 3)
+
+# Input outside what a frame defines: each raises ValueError, whatever the
+# frame facts are read from.
+INVALID_FRAME_INPUT = {
+    "SparsePoly(3, x03)": lambda: SparsePoly(3, "x03"),
+    "SparsePoly(3, y4)": lambda: SparsePoly(3, "y4"),
+    "SparsePoly(4, x3)": lambda: SparsePoly(4, "x3"),
+    "SparsePoly(1, z)": lambda: SparsePoly(1, "z"),
+    "dunkl_a(0, x4)": lambda: dunkl_a(0, _one(4, "x4"), _CTX),
+    "dunkl_a(5, x4)": lambda: dunkl_a(5, _one(4, "x4"), _CTX),
+    "dunkl_a(1, t)": lambda: dunkl_a(1, _one(1, "t"), _CTX),
+    "dunkl_b(1, x3)": lambda: dunkl_b(1, _one(3, "x3"), _CTX),
+    "dunkl_b(1, y0)": lambda: dunkl_b(1, _one(1, "y0"), _CTX),
+    "dunkl_b(0, y3)": lambda: dunkl_b(0, _one(3, "y3"), _CTX),
+    "dunkl_b(4, y3)": lambda: dunkl_b(4, _one(3, "y3"), _CTX),
+    "dunkl_b(0, y4)": lambda: dunkl_b(0, _one(4, "y4"), _CTX),
+    "cherednik_b(0, y4)": lambda: cherednik_b(0, _one(4, "y4"), _CTX),
+    "dunkl_d0(y3)": lambda: dunkl_d0(_one(3, "y3"), _CTX),
+    "dunkl_d0(x4)": lambda: dunkl_d0(_one(4, "x4"), _CTX),
+    "y3.sign_change(0)": lambda: _one(3, "y3").sign_change(0),
+    "y4.sign_change(4)": lambda: _one(4, "y4").sign_change(4),
+    "t.sign_change(0)": lambda: _one(1, "t").sign_change(0),
+    "laplacian_b(y0)": lambda: laplacian_b(_one(1, "y0"), _CTX),
+    "d0_squared(y3)": lambda: d0_squared(_one(3, "y3"), _CTX),
+    "laplacian_h(y3)": lambda: laplacian_h(_one(3, "y3"), _CTX),
+    "laplacian(Q, y3)": lambda: laplacian("Q", _one(3, "y3"), _CTX),
+    "pairing_kappa(y4, y4)": lambda: pairing_kappa(_one(4, "y4"), _one(4, "y4"), _CTX),
+    "pairing_kappa(t, t)": lambda: pairing_kappa(_one(1, "t"), _one(1, "t"), _CTX),
+    "pairing_kappa(x3, y3)": lambda: pairing_kappa(_one(3, "x3"), _one(3, "y3"), _CTX),
+    "pairing_kappa(y3, x3)": lambda: pairing_kappa(_one(3, "y3"), _one(3, "x3"), _CTX),
+}
+
+
+@pytest.mark.parametrize("case", list(INVALID_FRAME_INPUT))
+def test_invalid_frame_input_raises(case):
+    with pytest.raises(ValueError):
+        INVALID_FRAME_INPUT[case]()
 
 
 def test_dunkl_a_frame_check(ctx):
@@ -470,8 +514,10 @@ def test_integer_images_match_fraction_kernel():
         ctx = make_context(kappa, kp, 3)
         for frame, nvars in (("x3", 3), ("x4", 4), ("y3", 3), ("y4", 4), ("y0", 1)):
             frame_ops = [("D", p) for p in range(nvars)] + [("U", p) for p in u_positions[frame]]
-            frame_ops += [("L", table[frame])
-                          for table in ops._LAPLACIAN_POSITIONS.values() if frame in table]
+            names = var_names(frame)
+            frame_ops += [("L", tuple(map(names.index, coords)))
+                          for coords in ops._LAPLACIAN_COORDINATES.values()
+                          if set(coords) <= set(names)]
             for exp in combin.compositions_up_to(5, nvars):
                 f = SparsePoly.monomial(exp, frame)
                 for op in frame_ops:

@@ -184,6 +184,10 @@ def test_evaluate_examples():
     assert SparsePoly.constant(5, 3, "x3").evaluate((9, 9, 9)) == 5
     x1x2 = SparsePoly.monomial((1, 1, 0), "x3")
     assert x1x2.evaluate((2, 3, 100)) == 6
+    x = SparsePoly.monomial((1,), "t")
+    assert x.evaluate(["0.1"]) == Fraction(1, 10)
+    with pytest.raises(ValueError, match="float"):
+        x.evaluate([0.1])
 
 
 # ---------------------------------------------------------------- group actions
