@@ -22,6 +22,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -300,9 +301,35 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _positive_finite(compute) -> bool:
+    """Whether ``compute()`` gives a positive finite float; a parameter past
+    float range, or an exp that overflows, counts as no."""
+    try:
+        value = compute()
+    except OverflowError:
+        return False
+    return value > 0 and math.isfinite(value)
+
+
+def _mc_config(args) -> McConfig:
+    """The ``mc-check`` run parameters, refused before any image is built
+    unless the Selberg product and the normalization constants at (kappa, 0)
+    and (kappa, kappa') are positive finite floats.  Past those limits the
+    check would crash, estimate 0 or print NaN."""
+    kappa, kappa_prime = args.kappa, args.kappa_prime
+    if not (_positive_finite(lambda: selberg_product(4, float(kappa)))
+            and _positive_finite(lambda: normalization_constant(float(kappa), 0.0))):
+        raise ValueError("--kappa is too large: the Selberg product or normalization "
+                         "constant is not a positive finite float")
+    if not _positive_finite(lambda: normalization_constant(float(kappa), float(kappa_prime))):
+        raise ValueError("--kappa-prime is too large at this --kappa: the normalization "
+                         "constant is not a positive finite float")
+    return McConfig(args.samples, args.seed, float(kappa), float(kappa_prime))
+
+
 def _cmd_mc_check(args) -> int:
     ctx = make_context(args.kappa, args.kappa_prime, 3)
-    cfg = McConfig(args.samples, args.seed, float(args.kappa), float(args.kappa_prime))
+    cfg = _mc_config(args)
     checks = []
     ok = True
 

@@ -14,17 +14,23 @@ of Gaussian points is drawn and weighted once, and every (f, g) pair is
 integrated against it.  ``mc_inner_product`` is its one-pair case.  The
 seeds depend only on (seed, batch index), so a pair gets the same bits
 whether it is estimated alone or together with others.
+
+numpy loads on the first estimate, not with this module: the constant, the
+Selberg product and ``McConfig`` need only ``math``, so a process that never
+runs a Monte Carlo estimate never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import format_rational
 from .poly import SparsePoly, to_x
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BATCH = 1 << 17
 
@@ -81,6 +87,8 @@ def _as_x_frame(f: SparsePoly) -> SparsePoly:
 
 
 def _compile(f: SparsePoly):
+    import numpy as np
+
     terms = f.ordered_terms()  # canonical order fixes the float summation order
     exps = np.array([e for e, _ in terms], dtype=np.int64)
     coefs = np.array([float(c) for _, c in terms])
@@ -88,6 +96,8 @@ def _compile(f: SparsePoly):
 
 
 def _eval_compiled(compiled, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     exps, coefs = compiled
     out = np.zeros(x.shape[0])
     for exp, coef in zip(exps, coefs):
@@ -122,6 +132,8 @@ def mc_inner_products(
     only pair.  When g is f, the polynomial is compiled and evaluated once
     per batch.
     """
+    import numpy as np
+
     compiled = []
     for f, g in pairs:
         cf = _compile(_as_x_frame(f))

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,13 @@ USAGE_ERRORS = [
       for cmd in ("basis", "hermite") for s in ("0", "1")),
     (("mc-check", "--samples", "1"), "error: need at least two samples for a standard error"),
     (("mc-check", "--seed", "-1"), "error: seed -1 is negative; seeds must be nonnegative"),
+    # past float range the Selberg product overflows or the constant c underflows
+    *((("mc-check", "--kappa", kappa), "error: --kappa is too large: the Selberg product or "
+       "normalization constant is not a positive finite float")
+      for kappa in ("30", "35", "400", "1e400")),
+    *((("mc-check", "--kappa-prime", kappa_prime), "error: --kappa-prime is too large at this "
+       "--kappa: the normalization constant is not a positive finite float")
+      for kappa_prime in ("200", "400", "1e400")),
 ]
 
 
@@ -194,6 +205,46 @@ def test_mc_check_small(capsys):
     assert "<1,1>" in names
     for c in data["checks"]:
         assert c["samples"] == 50000 and c["seed"] == 20080824
+
+
+def test_mc_check_near_float_limit_runs_and_fails(capsys):
+    """kappa = 25 is inside float range: the check runs, and its estimates,
+    squeezed by a weight of about 1e-256, fail with exit 1."""
+    code, out, _ = run(capsys, "mc-check", "--kappa", "25", "--samples", "1000")
+    assert code == 1
+    data = json.loads(out)
+    assert data["normalization"]["consistent"] is True and data["ok"] is False
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import jack4, jack4.cli
+from jack4 import cli
+for argv in (["nsjp", "--alpha", "2,1,0", "--kappa", "1/2"],
+             ["verify", "--suite", "prop2", "--max-degree", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+before = {"numpy": "numpy" in sys.modules, "jack4.measure": "jack4.measure" in sys.modules}
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["mc-check", "--samples", "1000"])
+print(json.dumps({"before": before, "numpy_after": "numpy" in sys.modules,
+                  "code": code, "out": out.getvalue()}))
+"""
+
+
+def test_cold_start_loads_numpy_only_for_monte_carlo(capsys):
+    """A fresh interpreter imports jack4 and runs exact commands without
+    numpy.  ``jack4.measure`` is still imported with the package, since the
+    benchmark's tracer wraps it through ``sys.modules``.  The first Monte
+    Carlo estimate loads numpy and prints the in-process bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    child = json.loads(proc.stdout)
+    assert child["before"] == {"numpy": False, "jack4.measure": True}
+    assert child["numpy_after"] is True
+    assert (child["code"], child["out"]) == run(capsys, "mc-check", "--samples", "1000")[:2]
 
 
 # sha256 of stdout for a few commands at their default parameters.  A change
