@@ -15,6 +15,15 @@ integrated against it.  ``mc_inner_product`` is its one-pair case.  The
 seeds depend only on (seed, batch index), so a pair gets the same bits
 whether it is estimated alone or together with others.
 
+A batch is held column-major: one contiguous array per coordinate, which
+the weights and the polynomial terms read without strides.  The generator
+fills blocks of rows, the same stream as one (m, 4) draw, and each block is
+copied in transposed, with its row sums as the centre.  The weight, each
+term and each product are computed in place, in arrays allocated once per
+call and reused by every batch and pair.  Every float operation is the one
+the (m, 4) layout made, in the same order, so the estimates are the same
+bits; ``tests/oracles.py`` keeps that row-major route to compare against.
+
 numpy loads on the first estimate, not with this module: the constant, the
 Selberg product and ``McConfig`` need only ``math``, so a process that never
 runs a Monte Carlo estimate never imports numpy.
@@ -33,6 +42,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 _BATCH = 1 << 17
+_DRAW_ROWS = 1 << 13  # points per call of the generator
+_ROOTS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
 @dataclass(frozen=True)
@@ -95,27 +106,80 @@ def _compile(f: SparsePoly):
     return exps, coefs
 
 
-def _eval_compiled(compiled, x: np.ndarray) -> np.ndarray:
+def _draw(rng, x: np.ndarray, sums: np.ndarray) -> None:
+    """Fill x, of shape (4, m), with m standard Gaussian points of R^4, x[v]
+    being coordinate v of every point, and ``sums`` with each point's row
+    sum, block by block of rows: the bits of one (m, 4) draw."""
+    import numpy as np
+
+    m = x.shape[1]
+    block = np.empty((min(_DRAW_ROWS, m), 4))
+    for start in range(0, m, len(block)):
+        rows = block[: min(len(block), m - start)]
+        rng.standard_normal(out=rows)
+        stop = start + len(rows)
+        x[:, start:stop] = rows.T
+        rows.sum(axis=1, out=sums[start:stop])
+
+
+def _weigh(weight: np.ndarray, c: float, cfg: McConfig, x, sums, factor) -> None:
+    """weight = c * prod_{i<j} |x_i - x_j|^{2 kappa} * |y_0|^{2 kappa'} at
+    every point, factor by factor in that order, with y_0 = sums / 2.
+    ``sums`` and ``factor`` are overwritten."""
+    import numpy as np
+
+    weight.fill(c)
+    if cfg.kappa:
+        for i, j in _ROOTS:
+            np.subtract(x[i], x[j], out=factor)
+            np.abs(factor, out=factor)
+            factor **= 2 * cfg.kappa
+            weight *= factor
+    if cfg.kappa_prime:
+        sums *= 0.5
+        np.abs(sums, out=sums)
+        sums **= 2 * cfg.kappa_prime
+        weight *= sums
+
+
+def _eval_compiled(compiled, x: np.ndarray, out: np.ndarray, term, power) -> None:
+    """out = f at every point of x, term by term in canonical order; each
+    term is coef * p_v for its first variable, times the powers of the later
+    ones.  ``term`` and ``power`` are overwritten."""
     import numpy as np
 
     exps, coefs = compiled
-    out = np.zeros(x.shape[0])
+    out.fill(0.0)
     for exp, coef in zip(exps, coefs):
-        term = np.full(x.shape[0], coef)
-        for v in range(4):
-            if exp[v]:
-                term *= x[:, v] ** exp[v]
-        out += term
-    return out
+        started = False
+        for v, e in enumerate(exp):
+            if not e:
+                continue
+            p = x[v] if e == 1 else np.power(x[v], e, out=power)
+            if started:
+                term *= p
+            else:
+                np.multiply(coef, p, out=term)
+                started = True
+        out += term if started else coef
 
 
-def _weighted_product(weight: np.ndarray, cf, cg, x: np.ndarray) -> np.ndarray:
-    """weight * f(x) * g(x), with f evaluated only once when g is f.  The
-    evaluated arrays die with this frame."""
+def _weighted_product(weight: np.ndarray, cf, cg, x: np.ndarray, work) -> np.ndarray:
+    """weight * f(x) * g(x) in one row of ``work``, four arrays like weight
+    that hold f, g, a term and a power; f is evaluated only once when g is
+    f."""
+    import numpy as np
+
+    f, g, term, power = work
+    _eval_compiled(cf, x, f, term, power)
     if cg is cf:
-        v = _eval_compiled(cf, x)
-        return weight * v * v
-    return weight * _eval_compiled(cf, x) * _eval_compiled(cg, x)
+        np.multiply(weight, f, out=g)
+        g *= f
+        return g
+    f *= weight
+    _eval_compiled(cg, x, g, term, power)
+    f *= g
+    return f
 
 
 def mc_inner_products(
@@ -130,7 +194,10 @@ def mc_inner_products(
     scheduling.  Each batch is drawn and weighted once and then integrated
     pair by pair; a pair's estimate is the same float as when it is the
     only pair.  When g is f, the polynomial is compiled and evaluated once
-    per batch.
+    per batch.  A pair's values are scaled by 2^-e, with e fixed by the
+    largest |value| of its first batch, so that their squares do not
+    underflow when the weight is tiny; the scaling is exact, and undone on
+    the mean and the standard error.
     """
     import numpy as np
 
@@ -139,10 +206,17 @@ def mc_inner_products(
         cf = _compile(_as_x_frame(f))
         compiled.append((cf, cf if g is f else _compile(_as_x_frame(g))))
     c = normalization_constant(cfg.kappa, cfg.kappa_prime)
-    roots = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    # One set of arrays for every batch; the work rows hold the sums and a
+    # root factor while the batch is drawn and weighted.
+    size = min(_BATCH, cfg.samples)
+    points = np.empty((4, size))
+    weights = np.empty(size)
+    work = np.empty((4, size))
 
     total = [0.0] * len(compiled)
     total_sq = [0.0] * len(compiled)
+    scale: list[int | None] = [None] * len(compiled)
     done = 0
     batch_index = 0
     while done < cfg.samples:
@@ -150,27 +224,26 @@ def mc_inner_products(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,))
         )
-        x = rng.standard_normal((m, 4))
-        weight = np.full(m, c)
-        if cfg.kappa:
-            for i, j in roots:
-                weight *= np.abs(x[:, i] - x[:, j]) ** (2 * cfg.kappa)
-        if cfg.kappa_prime:
-            weight *= np.abs(0.5 * x.sum(axis=1)) ** (2 * cfg.kappa_prime)
+        x, weight, rows = points[:, :m], weights[:m], work[:, :m]
+        _draw(rng, x, rows[0])
+        _weigh(weight, c, cfg, x, rows[0], rows[1])
         for k, (cf, cg) in enumerate(compiled):
-            vals = _weighted_product(weight, cf, cg, x)
+            vals = _weighted_product(weight, cf, cg, x, rows)
+            if scale[k] is None:
+                scale[k] = math.frexp(max(float(vals.max()), -float(vals.min())))[1]
+            np.ldexp(vals, -scale[k], out=vals)
             total[k] += float(vals.sum())
-            total_sq[k] += float((vals * vals).sum())
-            del vals  # free before the next pair allocates its arrays
+            vals *= vals
+            total_sq[k] += float(vals.sum())
         done += m
         batch_index += 1
 
     n = cfg.samples
     results = []
-    for t, t_sq in zip(total, total_sq):
+    for t, t_sq, e in zip(total, total_sq, scale):
         mean = t / n
         variance = max(0.0, (t_sq - n * mean * mean) / (n - 1))
-        results.append((mean, math.sqrt(variance / n)))
+        results.append((math.ldexp(mean, e), math.ldexp(math.sqrt(variance / n), e)))
     return results
 
 

@@ -407,11 +407,16 @@ def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     sub-pairing is computed once and shared by all later pairings at the
     same kappa, whatever kappa_prime is.  The value is the dual vector of g
     (:class:`Dual`) paired with f: one integer dot product per degree and
-    one Fraction at the end.
+    one Fraction at the end.  When g is f, one dual vector serves as both.
     """
     if not (is_x_frame(f.frame) or f.frame == Y3):
         raise ValueError(f"pairing_kappa is defined on x frames and y3, got {f.frame!r}")
-    return Dual(g, ctx).pair(Dual(f, ctx))
+    return _pair_duals(f, g, ctx)
+
+
+def _pair_duals(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
+    dual_g = Dual(g, ctx)
+    return dual_g.pair(dual_g if g is f else Dual(f, ctx))
 
 
 def pairing_extended(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
@@ -422,12 +427,16 @@ def pairing_extended(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:
     :func:`pairing_kappa` on to_y(f) and to_y(g) over the y4 root table, with
     Q = lcm(q, q') for kappa = p/q and kappa_prime = p'/q', and kappa_prime
     in the memo key; the dual vector of to_y(g) paired with to_y(f).
-    Monomials whose y_0 degrees differ pair to zero without recursing.
+    Monomials whose y_0 degrees differ pair to zero without recursing.  When
+    g is f, it takes one ``to_y`` and one dual vector.
     """
+    same = g is f
     if f.frame == "x4":
         f = to_y(f)
-    if g.frame == "x4":
+    if same:
+        g = f
+    elif g.frame == "x4":
         g = to_y(g)
     if f.frame != Y4 or g.frame != Y4:
         raise ValueError("pairing_extended needs the x4 or y4 frame")
-    return Dual(g, ctx).pair(Dual(f, ctx))
+    return _pair_duals(f, g, ctx)

@@ -7,14 +7,17 @@ the closed forms for their integer versions, the linear forms of the
 half-Hadamard change for the butterflies, the y0 split for the tensor form
 of the extended pairing, the Fraction kernel of the operators for their
 integer images, and the Fraction recursion of the monomial pairing for the
-integer pairing and its dual vectors.
+integer pairing and its dual vectors, and the row-major Monte Carlo batches
+for the column-major ones.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
+from jack4.measure import _BATCH, _as_x_frame, _compile, normalization_constant
 from jack4.ops import _quotient, _reflect, _roots, dunkl_a, dunkl_b, dunkl_d0
 from jack4.poly import _HADAMARD, SparsePoly, _accumulate, is_x_frame
 
@@ -249,3 +252,74 @@ def pairing_by_fractions(f: SparsePoly, g: SparsePoly, ctx) -> Fraction:
             if degrees(ea) == degrees(eb):
                 total += ca * cb * monomial_pairing(ea, eb)
     return total
+
+
+# ---------------------------------------------------------------------- Monte Carlo
+
+
+def _row_major_eval(compiled, x):
+    """f at the rows of x, one np.full term at a time, with strided powers."""
+    import numpy as np
+
+    exps, coefs = compiled
+    out = np.zeros(x.shape[0])
+    for exp, coef in zip(exps, coefs):
+        term = np.full(x.shape[0], coef)
+        for v in range(4):
+            if exp[v]:
+                term *= x[:, v] ** exp[v]
+        out += term
+    return out
+
+
+def _row_major_weighted_product(weight, cf, cg, x):
+    if cg is cf:
+        v = _row_major_eval(cf, x)
+        return weight * v * v
+    return weight * _row_major_eval(cf, x) * _row_major_eval(cg, x)
+
+
+def row_major_mc_inner_products(pairs, cfg) -> list[tuple[float, float]]:
+    """``measure.mc_inner_products`` with each batch held as an (m, 4) array
+    of points: one draw per batch, out-of-place weights, and sums of unscaled
+    values, whose squares underflow to 0 once the weight is tiny."""
+    import numpy as np
+
+    compiled = []
+    for f, g in pairs:
+        cf = _compile(_as_x_frame(f))
+        compiled.append((cf, cf if g is f else _compile(_as_x_frame(g))))
+    c = normalization_constant(cfg.kappa, cfg.kappa_prime)
+    roots = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    total = [0.0] * len(compiled)
+    total_sq = [0.0] * len(compiled)
+    done = 0
+    batch_index = 0
+    while done < cfg.samples:
+        m = min(_BATCH, cfg.samples - done)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,))
+        )
+        x = rng.standard_normal((m, 4))
+        weight = np.full(m, c)
+        if cfg.kappa:
+            for i, j in roots:
+                weight *= np.abs(x[:, i] - x[:, j]) ** (2 * cfg.kappa)
+        if cfg.kappa_prime:
+            weight *= np.abs(0.5 * x.sum(axis=1)) ** (2 * cfg.kappa_prime)
+        for k, (cf, cg) in enumerate(compiled):
+            vals = _row_major_weighted_product(weight, cf, cg, x)
+            total[k] += float(vals.sum())
+            total_sq[k] += float((vals * vals).sum())
+            del vals
+        done += m
+        batch_index += 1
+
+    n = cfg.samples
+    results = []
+    for t, t_sq in zip(total, total_sq):
+        mean = t / n
+        variance = max(0.0, (t_sq - n * mean * mean) / (n - 1))
+        results.append((mean, math.sqrt(variance / n)))
+    return results

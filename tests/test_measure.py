@@ -1,7 +1,7 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from jack4.basis4 import BasisLabel, basis_poly4
@@ -9,10 +9,8 @@ from jack4.exact import make_context
 from jack4.hermite_cs import hermite_basis
 from jack4.measure import (
     _BATCH,
+    _DRAW_ROWS,
     McConfig,
-    _as_x_frame,
-    _compile,
-    _weighted_product,
     mc_inner_product,
     mc_inner_products,
     mc_report,
@@ -21,6 +19,7 @@ from jack4.measure import (
 )
 from jack4.ops import pairing_extended
 from jack4.poly import SparsePoly, to_x
+from oracles import row_major_mc_inner_products
 
 # The pre-image label pairs of the six spot checks of `jack4 mc-check`.
 SPOT_LABELS = [
@@ -33,40 +32,19 @@ SPOT_LABELS = [
 ]
 
 
+def spot_images(ctx):
+    """The (f, g) pairs of `jack4 mc-check` in y4, with g is f on the diagonal."""
+    images = []
+    for la, lb in SPOT_LABELS:
+        fa = hermite_basis(la, ctx).poly
+        images.append((fa, fa if la == lb else hermite_basis(lb, ctx).poly))
+    return images
+
+
 def mc_inner_product_by_pair(f, g, cfg):
     """Test-only oracle: one pair, with its own draw and weights of every
-    batch (the route before the sample was shared across pairs)."""
-    cf = _compile(_as_x_frame(f))
-    cg = cf if g is f else _compile(_as_x_frame(g))
-    c = normalization_constant(cfg.kappa, cfg.kappa_prime)
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    batch_index = 0
-    while done < cfg.samples:
-        m = min(_BATCH, cfg.samples - done)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,))
-        )
-        x = rng.standard_normal((m, 4))
-        weight = np.full(m, c)
-        if cfg.kappa:
-            for i, j in pairs:
-                weight *= np.abs(x[:, i] - x[:, j]) ** (2 * cfg.kappa)
-        if cfg.kappa_prime:
-            weight *= np.abs(0.5 * x.sum(axis=1)) ** (2 * cfg.kappa_prime)
-        vals = _weighted_product(weight, cf, cg, x)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
-        batch_index += 1
-
-    n = cfg.samples
-    mean = total / n
-    variance = max(0.0, (total_sq - n * mean * mean) / (n - 1))
-    return mean, math.sqrt(variance / n)
+    batch, by the row-major route."""
+    return row_major_mc_inner_products([(f, g)], cfg)[0]
 
 
 def test_normalization_constant_values():
@@ -164,10 +142,7 @@ def test_shared_sample_matches_the_per_pair_route(kappa, kappa_prime, samples):
     gets with its own draws: the mc-check spot pairs in y4, the same pairs
     in x4, a mixed-frame pair and an equal but distinct copy."""
     ctx = make_context(kappa, kappa_prime, 3)
-    spot = []
-    for la, lb in SPOT_LABELS:
-        fa = hermite_basis(la, ctx).poly
-        spot.append((fa, fa if la == lb else hermite_basis(lb, ctx).poly))
+    spot = spot_images(ctx)
     in_x = []
     for f, g in spot:
         xf = to_x(f)
@@ -183,6 +158,67 @@ def test_shared_sample_matches_the_per_pair_route(kappa, kappa_prime, samples):
     for (a, b), got in zip(images, shared):
         assert got == mc_inner_product_by_pair(a, b, cfg)
     assert mc_inner_product(f, copy, cfg) == shared[12]
+
+
+@pytest.mark.parametrize("kappa_prime", [Fraction(0), Fraction(1, 2), Fraction(2)])
+@pytest.mark.parametrize("kappa", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(5, 7),
+                                   Fraction(3)])
+@pytest.mark.parametrize("samples", [2, 3 * _DRAW_ROWS + 5, _BATCH + 7])
+def test_column_major_batches_match_the_row_major_route(kappa, kappa_prime, samples):
+    """The batches held one array per coordinate, drawn in blocks of rows
+    and weighted and evaluated in place, give every (estimate, stderr) bit
+    for bit as the (m, 4) batches of the row-major route: the mc-check spot
+    pairs in y4 and in x4, a constant, a cube of one variable, and terms of
+    two and three variables with coefficients that are not dyadic.  The
+    Jack basis needs kappa > 0, so at kappa = 0 the spot polynomials are
+    those of kappa = 1."""
+    ctx = make_context(kappa or 1, kappa_prime, 3)
+    spot = spot_images(ctx)
+    const = SparsePoly(4, "x4", {(0, 0, 0, 0): Fraction(5, 3)})
+    cube = SparsePoly(4, "x4", {(0, 0, 3, 0): Fraction(-2, 7)})
+    mixed = SparsePoly(4, "x4", {(1, 2, 0, 1): Fraction(3, 7), (0, 1, 1, 0): Fraction(-5, 3)})
+    images = list(spot)
+    for f, g in spot:
+        xf = to_x(f)
+        images.append((xf, xf if g is f else to_x(g)))
+    images += [(const, const), (cube, cube), (cube, const), (mixed, mixed), (mixed, cube)]
+    cfg = McConfig(samples, 20080824, float(kappa), float(kappa_prime))
+    assert mc_inner_products(images, cfg) == row_major_mc_inner_products(images, cfg)
+
+
+@pytest.mark.parametrize("kappa, kappa_prime", [(Fraction("28.99"), Fraction(1, 2)),
+                                                (Fraction(1), Fraction(150))])
+def test_tiny_weights_keep_their_standard_error(kappa, kappa_prime):
+    """At these parameters the squares of the weighted values underflow in
+    floats.  Scaling f by 2^600 lifts every value clear of that, and the
+    estimates and standard errors must be those of the lifted pairs, scaled
+    back, and none of them 0."""
+    ctx = make_context(kappa, kappa_prime, 3)
+    images = spot_images(ctx)
+    cfg = McConfig(1000, 20080824, float(kappa), float(kappa_prime))
+    lift = 2**600
+    lifted = row_major_mc_inner_products([(lift * f, g) for f, g in images], cfg)
+    for (est, se), (big_est, big_se) in zip(mc_inner_products(images, cfg), lifted):
+        assert 0 < se < 1e-150
+        assert est == pytest.approx(big_est / lift, rel=1e-12)
+        assert se == pytest.approx(big_se / lift, rel=1e-9)
+
+
+def test_one_estimate_holds_at_most_ten_batch_arrays():
+    """The traced peak of one mc-check estimate stays within ten float
+    arrays of one batch: the points, the weight and the work arrays, with no
+    per-term or per-power arrays held on top."""
+    ctx = make_context(1, Fraction(1, 2), 3)
+    images = spot_images(ctx)
+    cfg = McConfig(200000, 20080824, 1.0, 0.5)
+    mc_inner_products(images, cfg)  # numpy and the polynomials' lazy state are loaded
+    tracemalloc.start()
+    try:
+        mc_inner_products(images, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * _BATCH * 8
 
 
 def test_mc_report_shape():

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from jack4 import combin, ops, verify
-from jack4.basis4 import basis_poly4
+from jack4.basis4 import basis_poly, basis_poly4
 from jack4.exact import make_context
 from jack4.jack import nsjp
 from jack4.ops import (
@@ -833,6 +833,42 @@ def test_dual_route_matches_per_pair_pairings(suite):
         assert values == [pairing(polys[i], polys[j], ctx) for i, j, _ in got]
         assert values == [pairing_by_fractions(polys[i], polys[j], ctx) for i, j, _ in got]
         assert sum(1 for i, j, v in got if v and i != j) >= 10
+
+
+@pytest.mark.parametrize("kappa, kappa_prime", [(Fraction(1, 2), Fraction(2)),
+                                                (Fraction(5, 7), Fraction(1, 3))])
+def test_pairing_with_itself_takes_one_dual_vector(kappa, kappa_prime, monkeypatch):
+    """pairing_kappa(f, f) and pairing_extended(f, f) build one dual vector
+    and take at most one to_y, and equal the pairing of f with an equal but
+    distinct copy: the degree <= 3 Jack polynomials in x3, the basis in y3,
+    and the four-variable basis in y4 and in x4."""
+    ctx = make_context(kappa, kappa_prime, 3)
+    gammas = list(combin.compositions_up_to(3, 3))
+    basis = [basis_poly4(label, ctx) for label in verify.basis_labels_up_to(3)]
+    cases = [(pairing_kappa, [nsjp(a, ctx).poly for a in gammas]),
+             (pairing_kappa, [basis_poly(g, ctx) for g in gammas]),
+             (pairing_extended, basis + [to_x(f) for f in basis])]
+    calls = {"Dual": 0, "to_y": 0}
+
+    class CountedDual(ops.Dual):
+        def __init__(self, g, ctx):
+            calls["Dual"] += 1
+            super().__init__(g, ctx)
+
+    def counted_to_y(f):
+        calls["to_y"] += 1
+        return to_y(f)
+
+    monkeypatch.setattr(ops, "Dual", CountedDual)
+    monkeypatch.setattr(ops, "to_y", counted_to_y)
+    for pairing, polys in cases:
+        for f in polys:
+            copy = SparsePoly(f.nvars, f.frame, dict(f.terms))
+            calls.update(Dual=0, to_y=0)
+            diagonal = pairing(f, f, ctx)
+            assert calls == {"Dual": 1, "to_y": int(f.frame == "x4")}
+            assert diagonal == pairing(f, copy, ctx)
+            assert calls == {"Dual": 3, "to_y": 3 * int(f.frame == "x4")}
 
 
 def test_parity_separation(ctx):
