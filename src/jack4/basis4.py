@@ -13,7 +13,6 @@ full orthogonal family p_gamma(y) y_0^n for the extended pairing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -44,8 +43,7 @@ class BasisLabel(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
-class LabelDecomposition:
+class LabelDecomposition(NamedTuple):
     gamma: tuple[int, int, int]
     odd_set: tuple[int, ...]
     k: int
@@ -56,7 +54,7 @@ class LabelDecomposition:
 
 def decompose_label(gamma) -> LabelDecomposition:
     """Split gamma into (E, w, beta, alpha) with gamma = w beta."""
-    gamma = tuple(int(g) for g in gamma)
+    gamma = combin.as_parts(gamma)
     if len(gamma) != 3 or any(g < 0 for g in gamma):
         raise ValueError(f"bad basis label {gamma}")
     odd = frozenset(i + 1 for i, g in enumerate(gamma) if g % 2)
@@ -133,8 +131,7 @@ def basis_norm(label: BasisLabel, ctx: ParamContext) -> Rat:
     return gamma_norm(gamma, ctx) * y0_power_norm(n, ctx)
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """A fully symmetric eigenfunction F^s_lambda with both norm evaluations.
 
     ``formula_norm`` is the closed-form candidate
@@ -154,7 +151,7 @@ class InvariantRecord:
 def invariant_F(lam, s: int, ctx: ParamContext) -> InvariantRecord:
     """F^0_lambda = j_lambda(y^2) or F^1_lambda = y_1 y_2 y_3 j_lambda(y^2); free
     of kappa_prime, so memoized per (lambda, s, kappa) like :func:`basis_poly4`."""
-    lam = tuple(int(a) for a in lam)
+    lam = combin.as_parts(lam)
     if len(lam) != 3:
         raise ValueError("lambda must have three parts")
     if s not in (0, 1):

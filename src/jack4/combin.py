@@ -24,10 +24,22 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import factorial
+from operator import index
 
 from .exact import ParamContext, Rat, as_rational
 
 Composition = tuple[int, ...]
+
+
+def as_parts(values) -> Composition:
+    """values as a tuple of ints; a part such as 1.7 or Fraction(3, 2) raises
+    ValueError instead of being truncated."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(v, "__index__"))
+        raise ValueError(f"part {bad!r} of {values} is not an integer") from None
 
 
 def weight(alpha) -> int:

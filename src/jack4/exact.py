@@ -6,8 +6,8 @@ Every symbolic module computes over arbitrary-precision rationals
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "Rat",
@@ -54,8 +54,7 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class ParamContext:
+class ParamContext(NamedTuple):
     """Fixed rational parameter values shared by a session.
 
     ``kappa`` weights the symmetric-group reflections, ``kappa_prime`` the

@@ -13,9 +13,9 @@ kappa' + 2 (only the total degree enters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from . import combin
 from .basis4 import BasisLabel, basis_poly, invariant_F
@@ -76,8 +76,7 @@ def laguerre_y0sq(n: int, a) -> SparsePoly:
 # ---------------------------------------------------------------------- transformed basis
 
 
-@dataclass(frozen=True)
-class HermiteRecord:
+class HermiteRecord(NamedTuple):
     """The weight-orthogonal image of one basis element and its energy level."""
 
     label: BasisLabel
@@ -92,7 +91,7 @@ def energy_level(label: BasisLabel, ctx: ParamContext) -> Rat:
 
 def hermite_basis(label: BasisLabel, ctx: ParamContext) -> HermiteRecord:
     """exp(-Delta_h/2)(p_gamma y_0^n), computed on the two tensor factors."""
-    label = BasisLabel(tuple(int(g) for g in label[0]), int(label[1]))
+    label = BasisLabel(combin.as_parts(label[0]), *combin.as_parts(label[1:]))
     gamma, n = label
     gpart = exp_half_laplacian("B", basis_poly(gamma, ctx), ctx, -1)
     y0part = exp_half_laplacian("D0", SparsePoly.monomial((n,), Y0), ctx, -1)
@@ -125,11 +124,12 @@ def cs_invariant_energy(lam, s: int, n: int, ctx: ParamContext) -> Rat:
 # ---------------------------------------------------------------------- operator identities
 
 
-@dataclass
 class IdentityReport:
-    name: str
-    checked: int
-    failures: list[str]
+    """One identity over its cases: how many were checked, and the labels of
+    those that failed."""
+
+    def __init__(self, name: str, checked: int, failures: list[str]):
+        self.name, self.checked, self.failures = name, checked, failures
 
     @property
     def ok(self) -> bool:

@@ -2,24 +2,33 @@
 
 For a composition alpha, zeta_alpha is the unique x-monic joint eigenfunction
 of the Cherednik operators U_1..U_N with eigenvalues xi_i(alpha); its support
-below the leading monomial is strictly smaller in the dominance order.  The
-construction solves the triangular joint eigenproblem degree by degree in the
-canonical monomial order.
+below the leading monomial is strictly smaller in the dominance order.  It is
+built from zeta_0 = 1 along the Yang-Baxter graph of Knop and Sahi (Invent.
+Math. 128, 1997), each step from one parent (0-based positions):
+
+- affine: if alpha_N > 0, zeta_alpha(x) = x_N zeta_beta(x_N, x_1, ..., x_{N-1})
+  for beta = (alpha_N - 1, alpha_1, ..., alpha_{N-1}), a rotation of the
+  exponents and one shift, with no arithmetic;
+- transposition: otherwise, with i the last position where alpha_i > 0 and
+  beta = s_i alpha, zeta_alpha = s_i zeta_beta - kappa / (xi_i(beta) -
+  xi_{i+1}(beta)) zeta_beta.  As beta_i < beta_{i+1}, both terms of the
+  denominator are negative for kappa > 0.
+
+No eigen-equation is used to build zeta_alpha, so the eigen suite of
+:mod:`jack4.verify` checks all N of them independently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from . import combin
 from .exact import ParamContext, Rat
-from .ops import _apply, _memo, _weights
+from .ops import _memo
 from .poly import SparsePoly, _accumulate, x_frame
 
 
-@dataclass(frozen=True)
-class NsjpRecord:
+class NsjpRecord(NamedTuple):
     """One nonsymmetric Jack polynomial with its spectral data."""
 
     label: tuple[int, ...]
@@ -29,16 +38,9 @@ class NsjpRecord:
 
 
 def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
-    """Construct zeta_alpha by back-substitution in the canonical order.
-
-    The solve runs on the eigen-equation of U_1 and, whenever a lower
-    monomial shares the same U_1 eigenvalue, falls back to the first U_i
-    that separates it (the joint spectrum is simple for kappa > 0).  For
-    each U_i it uses, it keeps U_i applied to the part solved so far, from
-    the memoized integer images Q U_i on monomials: each solved value is
-    divided by Q once before it enters them.
-    """
-    alpha = tuple(int(a) for a in alpha)
+    """zeta_alpha by one Yang-Baxter step from its parent, which comes from
+    the same "nsjp" memo entry (see the module docstring)."""
+    alpha = combin.as_parts(alpha)
     if any(a < 0 for a in alpha):
         raise ValueError("composition parts must be nonnegative")
     if len(alpha) != ctx.nvars_a:
@@ -52,29 +54,21 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
     if cached is not None:
         return cached
 
-    scale = _weights(frame, ctx)[0]  # the memo holds Q U_i
-    xi_alpha = combin.spectral_vector(alpha, ctx)
-    monos = combin.compositions_of_weight(combin.weight(alpha), nvars)
-    coeffs = {alpha: Fraction(1)}
-    running: dict = {}  # sel -> terms of U_sel applied to the part solved so far
-    for m in monos[monos.index(alpha) + 1:]:
-        xi = combin.spectral_vector(m, ctx)
-        sel = next((i for i in range(nvars) if xi[i] != xi_alpha[i]), None)
-        if sel is None:
-            raise ArithmeticError(f"spectral vectors of {alpha} and {m} collide")
-        if sel not in running:
-            solved = SparsePoly._of(nvars, frame, dict(coeffs))  # coeffs keeps growing
-            running[sel] = dict(_apply(("U", sel), solved, ctx).terms)
-        value = running[sel].get(m, 0) / (xi_alpha[sel] - xi[sel])
-        if value:
-            coeffs[m] = value
-            value /= scale
-            for i, acc in running.items():
-                for exp, c in _memo(("U", i), frame, nvars, ctx)[m].items():
-                    _accumulate(acc, exp, value * c)
-
-    poly = SparsePoly._of(nvars, frame, coeffs)
-    record = records[alpha] = NsjpRecord(alpha, poly, xi_alpha, nsjp_norm(alpha, ctx))
+    if alpha[-1]:
+        parent = nsjp((alpha[-1] - 1,) + alpha[:-1], ctx)
+        terms = {e[1:] + (e[0] + 1,): c for e, c in parent.poly.terms.items()}
+    elif any(alpha):
+        i = max(p for p, a in enumerate(alpha) if a)
+        parent = nsjp(alpha[:i] + (0, alpha[i]) + alpha[i + 2:], ctx)
+        scale = -ctx.kappa / (parent.spectral[i] - parent.spectral[i + 1])
+        terms = {e: scale * c for e, c in parent.poly.terms.items()}
+        for e, c in parent.poly.terms.items():
+            _accumulate(terms, e[:i] + (e[i + 1], e[i]) + e[i + 2:], c)
+    else:
+        terms = {alpha: Rat(1)}
+    poly = SparsePoly._of(nvars, frame, terms)
+    spectral = combin.spectral_vector(alpha, ctx)
+    record = records[alpha] = NsjpRecord(alpha, poly, spectral, nsjp_norm(alpha, ctx))
     return record
 
 
@@ -101,7 +95,7 @@ def symmetric_jack(lam, ctx: ParamContext) -> SparsePoly:
     """j_lambda = sum over rearrangements alpha of lambda of E_{-1}(alpha) zeta_alpha;
     symmetric with leading monomial x^lambda.  Memoized per (lambda, kappa)
     next to the nsjp records."""
-    lam = tuple(int(a) for a in lam)
+    lam = combin.as_parts(lam)
     if not combin.is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     frame = x_frame(len(lam))
@@ -121,7 +115,7 @@ def jack_norm(lam, ctx: ParamContext) -> Rat:
     """<j_lambda, j_lambda>_kappa in closed form:
     #{alpha: alpha+ = lambda} (N kappa + 1)_lambda h(lambda, 1)
     / (E_1(lambda reversed) h(lambda, kappa + 1))."""
-    lam = tuple(int(a) for a in lam)
+    lam = combin.as_parts(lam)
     if not combin.is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
     n = len(lam)

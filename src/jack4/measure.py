@@ -32,8 +32,7 @@ runs a Monte Carlo estimate never imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact import format_rational
 from .poly import SparsePoly, to_x
@@ -46,22 +45,20 @@ _DRAW_ROWS = 1 << 13  # points per call of the generator
 _ROOTS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(NamedTuple("McConfig", [("samples", int), ("seed", int),
+                                       ("kappa", float), ("kappa_prime", float)])):
     """Monte Carlo run parameters; estimates are a pure function of these."""
 
-    samples: int
-    seed: int
-    kappa: float
-    kappa_prime: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.samples < 2:
+    def __new__(cls, samples: int, seed: int, kappa: float, kappa_prime: float):
+        if samples < 2:
             raise ValueError("need at least two samples for a standard error")
-        if self.kappa < 0 or self.kappa_prime < 0:
+        if kappa < 0 or kappa_prime < 0:
             raise ValueError("parameters must be nonnegative")
-        if self.seed < 0:
-            raise ValueError(f"seed {self.seed} is negative; seeds must be nonnegative")
+        if seed < 0:
+            raise ValueError(f"seed {seed} is negative; seeds must be nonnegative")
+        return super().__new__(cls, samples, seed, kappa, kappa_prime)
 
 
 def normalization_constant(kappa: float, kappa_prime: float) -> float:

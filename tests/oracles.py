@@ -7,7 +7,9 @@ the closed forms for their integer versions, the linear forms of the
 half-Hadamard change for the butterflies, the y0 split for the tensor form
 of the extended pairing, the Fraction kernel of the operators for their
 integer images, and the Fraction recursion of the monomial pairing for the
-integer pairing and its dual vectors, and the row-major Monte Carlo batches
+integer pairing and its dual vectors, the visit of every pair for the
+block-diagonal Gram checks, the triangular eigen-solve for the Yang-Baxter
+construction of the nonsymmetric Jacks, and the row-major Monte Carlo batches
 for the column-major ones.
 """
 
@@ -16,10 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from jack4 import combin
 from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
 from jack4.measure import _BATCH, _as_x_frame, _compile, normalization_constant
-from jack4.ops import _quotient, _reflect, _roots, dunkl_a, dunkl_b, dunkl_d0
-from jack4.poly import _HADAMARD, SparsePoly, _accumulate, is_x_frame
+from jack4.ops import (Dual, _apply, _memo, _quotient, _reflect, _roots, _weights, dunkl_a,
+                       dunkl_b, dunkl_d0)
+from jack4.poly import _HADAMARD, SparsePoly, _accumulate, is_x_frame, x_frame
 
 # ---------------------------------------------------------------------- permutations
 
@@ -252,6 +256,67 @@ def pairing_by_fractions(f: SparsePoly, g: SparsePoly, ctx) -> Fraction:
             if degrees(ea) == degrees(eb):
                 total += ca * cb * monomial_pairing(ea, eb)
     return total
+
+
+def upper_pairings(polys: list, ctx):
+    """(i, j, <polys[i], polys[j]>) for i <= j, in that order, through one
+    dual vector per element: each element is scaled to integers once, and
+    each pairing is one integer dot product (see :class:`jack4.ops.Dual`).
+    The polynomials share an x frame or y3 (the kappa pairing) or y4 (the
+    extended pairing)."""
+    duals = [Dual(f, ctx) for f in polys]
+    for i, f in enumerate(duals):
+        for j in range(i, len(duals)):
+            yield i, j, duals[j].pair(f)
+
+
+def gram_by_every_pair(rep, polys: list, norms: list, ctx, describe) -> None:
+    """``verify.check_gram`` with every pair i <= j paired and recorded, in
+    that order, through :func:`upper_pairings`."""
+    for i, j, value in upper_pairings(polys, ctx):
+        expected = norms[i] if i == j else 0
+        rep.record(value == expected, lambda: describe(i, j, value, expected))
+
+
+# ---------------------------------------------------------------------- nonsymmetric Jacks
+
+
+def triangular_nsjp(alpha, ctx) -> SparsePoly:
+    """zeta_alpha by back-substitution in the canonical order.
+
+    The solve runs on the eigen-equation of U_1 and, whenever a lower
+    monomial shares the same U_1 eigenvalue, falls back to the first U_i
+    that separates it (the joint spectrum is simple for kappa > 0).  For
+    each U_i it uses, it keeps U_i applied to the part solved so far, from
+    the memoized integer images Q U_i on monomials: each solved value is
+    divided by Q once before it enters them.  It neither reads nor writes
+    the "nsjp" memo entry, so it never returns a polynomial that
+    ``jack.nsjp`` built.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    nvars = len(alpha)
+    frame = x_frame(nvars)
+    scale = _weights(frame, ctx)[0]  # the memo holds Q U_i
+    xi_alpha = combin.spectral_vector(alpha, ctx)
+    monos = combin.compositions_of_weight(combin.weight(alpha), nvars)
+    coeffs = {alpha: Fraction(1)}
+    running: dict = {}  # sel -> terms of U_sel applied to the part solved so far
+    for m in monos[monos.index(alpha) + 1:]:
+        xi = combin.spectral_vector(m, ctx)
+        sel = next((i for i in range(nvars) if xi[i] != xi_alpha[i]), None)
+        if sel is None:
+            raise ArithmeticError(f"spectral vectors of {alpha} and {m} collide")
+        if sel not in running:
+            solved = SparsePoly._of(nvars, frame, dict(coeffs))  # coeffs keeps growing
+            running[sel] = dict(_apply(("U", sel), solved, ctx).terms)
+        value = running[sel].get(m, 0) / (xi_alpha[sel] - xi[sel])
+        if value:
+            coeffs[m] = value
+            value /= scale
+            for i, acc in running.items():
+                for exp, c in _memo(("U", i), frame, nvars, ctx)[m].items():
+                    _accumulate(acc, exp, value * c)
+    return SparsePoly._of(nvars, frame, coeffs)
 
 
 # ---------------------------------------------------------------------- Monte Carlo

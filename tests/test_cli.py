@@ -257,6 +257,18 @@ def test_cold_start_loads_numpy_only_for_monte_carlo(capsys):
     assert (child["code"], child["out"]) == run(capsys, "mc-check", "--samples", "1000")[:2]
 
 
+def test_cold_start_imports_no_dataclasses():
+    """Importing the CLI and the suites loads neither ``dataclasses`` nor
+    ``inspect``, which only ``dataclasses`` pulls in: the records are named
+    tuples and the reports plain classes."""
+    script = ("import json, sys; before = set(sys.modules); import jack4.cli, jack4.verify; "
+              "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == []
+
+
 # sha256 of stdout for a few commands at their default parameters.  A change
 # that only makes the program faster must leave these bytes as they are.
 GOLDEN_STDOUT = {
@@ -336,6 +348,13 @@ GOLDEN_STDOUT = {
         "528c641cc750f5850fd681efb313bd46b2b8875752fe3eb925c030ccb89d0282",
     ("verify", "--suite", "eigen", "--max-degree", "4", "--kappa", "5/7"):
         "a8c58dbc4e2286b51a337249cee7156a991453dd16ee38524dc85c658a768014",
+    # the Yang-Baxter nsjp under the symmetric Jacks, and the block-diagonal
+    # Gram check of the extended pairing with Q = lcm(q, q') = 21
+    ("verify", "--suite", "jack", "--max-degree", "4", "--kappa", "5/7"):
+        "a309e87accd376f29fc53ac02bcbd801d80855ff1bdd05448ac91c3c6e49a030",
+    ("verify", "--suite", "prop2", "--max-degree", "5", "--kappa", "5/7",
+     "--kappa-prime", "1/3"):
+        "6421c83da0b368911792e2b693ef69ddff82d0f9758e50644c2bc0f2208557f5",
     # the y3 CSV header, e_y1,e_y2,e_y3, comes from the frame's coordinate names
     ("basis", "--lambda", "2,1,0", "--s", "1", "--kappa", "1/2", "--kappa-prime", "2",
      "--format", "csv"):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -260,3 +261,36 @@ def test_permutation_utilities():
     assert combin.permute_composition(composed, a) == combin.permute_composition(
         w, combin.permute_composition(w2, a)
     )
+
+
+def _entries():
+    """Each public entry that takes integer parts, with a call that puts
+    ``part`` in the first place of its label and a valid label otherwise."""
+    from jack4.basis4 import BasisLabel, decompose_label, invariant_F
+    from jack4.hermite_cs import hermite_basis
+    from jack4.jack import jack_norm, nsjp, symmetric_jack
+
+    ctx = make_context(Fraction(1, 2), Fraction(2), 3)
+    ctx4 = make_context(Fraction(1, 2), 0, 4)
+    return {
+        "nsjp": lambda part: nsjp((part, 0, 0, 0), ctx4).poly,
+        "symmetric_jack": lambda part: symmetric_jack((part, 0, 0), ctx),
+        "jack_norm": lambda part: jack_norm((part, 1, 0), ctx),
+        "decompose_label": lambda part: decompose_label((part, 0, 2)),
+        "invariant_F": lambda part: invariant_F((part, 0, 0), 1, ctx).poly,
+        "hermite_basis gamma": lambda part: hermite_basis(BasisLabel((part, 0, 1), 1), ctx).poly,
+        "hermite_basis n": lambda part: hermite_basis(BasisLabel((1, 0, 1), part), ctx).poly,
+    }
+
+
+@pytest.mark.parametrize("entry", list(_entries()))
+def test_non_integer_parts_are_refused(entry):
+    """A float or a non-integer Fraction part raises ValueError naming it,
+    where it was once truncated; an int part is taken as it is."""
+    call = _entries()[entry]
+    for bad in (1.7, 1.0, Fraction(3, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"part {bad!r} of ")):
+            call(bad)
+    assert call(2) == call(True + 1)
+    assert combin.as_parts([2, True, 0]) == (2, 1, 0)
+    assert combin.as_parts(iter((3, 0))) == (3, 0)

@@ -16,7 +16,10 @@ from jack4.jack import (
 )
 from jack4.ops import cherednik_a, pairing_kappa
 from jack4.poly import SparsePoly, x_frame
-from oracles import dominates
+from oracles import dominates, triangular_nsjp
+
+# The conftest kappa grid.
+KAPPAS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(5, 7))
 
 
 def xvar(i):
@@ -44,6 +47,18 @@ def test_nsjp_monic_and_triangular(ctx):
         for beta in rec.poly.terms:
             if beta != alpha:
                 assert dominates(alpha, beta)
+
+
+@pytest.mark.parametrize("nvars", (2, 3, 4))
+@pytest.mark.parametrize("kappa, kappa_prime", [(k, Fraction(1, 2)) for k in KAPPAS]
+                         + [(Fraction(5, 7), Fraction(1, 3))])
+def test_yang_baxter_nsjp_matches_triangular_solve(nvars, kappa, kappa_prime):
+    """Every composition of weight <= 6, built along the Yang-Baxter graph,
+    equals the triangular solve of the joint eigenproblem."""
+    ops._MEMO_CACHE.clear()
+    ctx = make_context(kappa, kappa_prime, nvars)
+    comps = list(combin.compositions_up_to(6, nvars))
+    assert [nsjp(a, ctx).poly for a in comps] == [triangular_nsjp(a, ctx) for a in comps]
 
 
 def test_nsjp_eigenfunction_sample(ctx_each_kappa):

@@ -26,7 +26,7 @@ from jack4.ops import (
     pairing_kappa,
 )
 from jack4.poly import SparsePoly, substitute_linear, to_x, to_y, var_names
-from oracles import dominates, fraction_operator, pairing_by_fractions, split_y0
+from oracles import dominates, fraction_operator, pairing_by_fractions, split_y0, upper_pairings
 from oracles import spectral_vector as oracle_spectral_vector
 
 KAPPAS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(5, 7))
@@ -505,8 +505,8 @@ def test_memoized_operators_match_definitions():
 def test_integer_images_match_fraction_kernel():
     # _apply scales the integer images Q D_p, Q U_p and Q^2 L back once; the
     # Fraction kernel with weights (1, kappa, kappa') is the reference.  nsjp
-    # pushes its solved values into the integer U images, so it must still
-    # solve the Fraction eigen-equations.
+    # builds zeta_alpha without any eigen-equation, so its zeta_alpha must
+    # satisfy every Fraction eigen-equation.
     u_positions = {"x3": range(3), "x4": range(4), "y3": range(3), "y4": range(1, 4), "y0": ()}
     clear_memo()
     # the memo stays warm from one parameter pair to the next
@@ -826,7 +826,7 @@ def test_dual_route_matches_per_pair_pairings(suite):
         # orthogonal families pair to 0 off the diagonal; mixtures of
         # elements of different degrees do not
         polys += [Fraction(2, 3) * polys[i] + polys[-1 - i] for i in range(1, 6)]
-        got = list(verify.upper_pairings(polys, ctx))
+        got = list(upper_pairings(polys, ctx))
         n = len(polys)
         assert [(i, j) for i, j, _ in got] == [(i, j) for i in range(n) for j in range(i, n)]
         values = [v for _, _, v in got]
