@@ -8,12 +8,15 @@ element is
     p_gamma(y) = w ( y_1 ... y_k * zeta_alpha(y_1^2, y_2^2, y_3^2) ),
 
 odd in exactly the coordinates of E.  Tensoring with powers of y_0 gives the
-full orthogonal family p_gamma(y) y_0^n for the extended pairing.
+full orthogonal family p_gamma(y) y_0^n for the extended pairing, the D3
+pairing of y_1..y_3 times the A1 pairing of y_0; so the squared norm is
+gamma_norm times y0_power_norm, each one integer product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
 from . import combin
@@ -55,7 +58,7 @@ class LabelDecomposition(NamedTuple):
 def decompose_label(gamma) -> LabelDecomposition:
     """Split gamma into (E, w, beta, alpha) with gamma = w beta."""
     gamma = combin.as_parts(gamma)
-    if len(gamma) != 3 or any(g < 0 for g in gamma):
+    if len(gamma) != 3:
         raise ValueError(f"bad basis label {gamma}")
     odd = frozenset(i + 1 for i, g in enumerate(gamma) if g % 2)
     w = W_TABLE[odd]
@@ -90,14 +93,12 @@ def basis_poly4(label: BasisLabel, ctx: ParamContext) -> SparsePoly:
 
 def y0_power_norm(n: int, ctx: ParamContext) -> Rat:
     """<y_0^n, y_0^n> under the extended pairing: 2^{2m} m! (kappa'+1/2)_m for
-    n = 2m, and 2^{2m+1} m! (kappa'+1/2)_{m+1} for n = 2m+1."""
+    n = 2m, and 2^{2m+1} m! (kappa'+1/2)_{m+1} for n = 2m+1; one integer product."""
+    (n,) = combin.as_parts((n,))
     m, odd = divmod(n, 2)
-    value = Fraction(2) ** (2 * m + odd) * combin.rising_factorial(
-        ctx.kappa_prime + Fraction(1, 2), m + odd
-    )
-    for j in range(1, m + 1):
-        value *= j
-    return value
+    p, q = ctx.kappa_prime.as_integer_ratio()
+    return combin.ratio((2**n * factorial(m), 1),
+                        combin._pochhammer((m + odd,), 2 * p + q, 2 * q, 0, 1))
 
 
 def gamma_norm(gamma, ctx: ParamContext) -> Rat:
@@ -105,23 +106,22 @@ def gamma_norm(gamma, ctx: ParamContext) -> Rat:
     2^{|beta|} (3 kappa + 1)_{alpha+} (2 kappa + 1/2)_{(beta-alpha)+}
     * h(alpha, 1) / h(alpha, kappa + 1).
 
-    Each factor is one of the integer closed forms of :mod:`jack4.combin`.
-    The value does not depend on kappa_prime, so it is memoized once per
+    One integer product of the closed forms of :mod:`jack4.combin`.  The
+    value does not depend on kappa_prime, so it is memoized once per
     (gamma, kappa) in ``ops._MEMO_CACHE`` under the y3 key rule, and shared
     by every kappa_prime of :func:`basis_norm`."""
     norms = _memo("gamma_norm", Y3, 3, ctx)
-    gamma = tuple(gamma)
+    gamma = combin.as_parts(gamma)
     value = norms.get(gamma)
     if value is None:
         d = decompose_label(gamma)
-        alpha_plus, _ = combin.sort_to_partition(d.alpha)
-        diff_plus, _ = combin.sort_to_partition(tuple(b - a for b, a in zip(d.beta, d.alpha)))
-        value = Fraction(2) ** combin.weight(d.beta)
-        value *= combin.gen_pochhammer(alpha_plus, 3 * ctx.kappa + 1, ctx)
-        value *= combin.gen_pochhammer(diff_plus, 2 * ctx.kappa + Fraction(1, 2), ctx)
-        value *= combin.hook_product(d.alpha, 1, ctx)
-        value /= combin.hook_product(d.alpha, ctx.kappa + 1, ctx)
-        norms[gamma] = value
+        p, q = ctx.kappa.as_integer_ratio()
+        diff = sorted((b - a for b, a in zip(d.beta, d.alpha)), reverse=True)
+        value = norms[gamma] = combin.ratio(
+            (2 ** combin.weight(d.beta), 1),
+            combin._pochhammer(sorted(d.alpha, reverse=True), 3 * p + q, q, p, q),
+            combin._pochhammer(diff, 4 * p + q, 2 * q, p, q), combin._hook(d.alpha, 1, 1, p, q),
+            combin._hook(d.alpha, p + q, q, p, q)[::-1])
     return value
 
 

@@ -8,8 +8,9 @@ a t_d q + t_n q + p L t_d over t_d q, and a factor 1 + eps kappa / (c kappa + a)
 of E_eps is (c p + a q + eps p) / (c p + a q).  :func:`hook_product`,
 :func:`rising_factorial`, :func:`gen_pochhammer`, :func:`e_epsilon` and
 :func:`spectral_vector` multiply the integer numerators and denominators and
-build one Fraction at the end.  ``t`` may be an int, a Fraction or an exact
-string; a binary float raises ValueError.
+build one Fraction at the end; the norms take the pairs of ``_hook`` and
+``_pochhammer`` to :func:`ratio`.  ``t`` may be an int, a Fraction or an
+exact string; a binary float raises ValueError.
 
 A composition is a tuple of nonnegative integers.  Node and operator indices
 (the ``i`` of ``rank`` and the ``(i, j)`` of ``leg_length``) are 1-based, as
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import index
 
 from .exact import ParamContext, Rat, as_rational
@@ -32,14 +33,17 @@ Composition = tuple[int, ...]
 
 
 def as_parts(values) -> Composition:
-    """values as a tuple of ints; a part such as 1.7 or Fraction(3, 2) raises
-    ValueError instead of being truncated."""
+    """values as a tuple of nonnegative ints; a part such as -1, 1.7 or
+    Fraction(3, 2) raises ValueError instead of being taken or truncated."""
     values = tuple(values)
     try:
-        return tuple(map(index, values))
+        parts = tuple(map(index, values))
     except TypeError:
         bad = next(v for v in values if not hasattr(v, "__index__"))
         raise ValueError(f"part {bad!r} of {values} is not an integer") from None
+    if min(parts, default=0) < 0:
+        raise ValueError(f"part {min(parts)} of {values} is negative")
+    return parts
 
 
 def weight(alpha) -> int:
@@ -135,24 +139,23 @@ def leg_length(alpha, i: int, j: int) -> int:
 def hook_product(alpha, t, ctx: ParamContext) -> Rat:
     """h(alpha, t): product over nodes (i, j), 1 <= j <= alpha_i, of
     alpha_i - j + t + kappa * L(alpha; i, j).  Empty product is 1."""
-    tn, td = as_rational(t).as_integer_ratio()
-    p, q = ctx.kappa.as_integer_ratio()
+    return Fraction(*_hook(alpha, *as_rational(t).as_integer_ratio(),
+                           *ctx.kappa.as_integer_ratio()))
+
+
+def _hook(alpha, tn: int, td: int, p: int, q: int) -> tuple[int, int]:
+    """h(alpha, tn/td) at kappa = p/q as an integer numerator and denominator."""
     num = den = 1
     for i in range(1, comp_length(alpha) + 1):
         for j in range(1, alpha[i - 1] + 1):
             num *= ((alpha[i - 1] - j) * td + tn) * q + p * td * leg_length(alpha, i, j)
             den *= td * q
-    return Fraction(num, den)
+    return num, den
 
 
 def rising_factorial(t, n: int) -> Rat:
     """Ordinary Pochhammer symbol (t)_n = t (t+1) ... (t+n-1)."""
-    tn, td = as_rational(t).as_integer_ratio()
-    num = den = 1
-    for j in range(n):
-        num *= tn + j * td
-        den *= td
-    return Fraction(num, den)
+    return Fraction(*_pochhammer((n,), *as_rational(t).as_integer_ratio(), 0, 1))
 
 
 def gen_pochhammer(lam, t, ctx: ParamContext) -> Rat:
@@ -160,14 +163,18 @@ def gen_pochhammer(lam, t, ctx: ParamContext) -> Rat:
     (t - (i-1) kappa + j), for a partition lambda."""
     if not is_partition(lam):
         raise ValueError(f"{tuple(lam)} is not a partition")
-    tn, td = as_rational(t).as_integer_ratio()
-    p, q = ctx.kappa.as_integer_ratio()
+    return Fraction(*_pochhammer(lam, *as_rational(t).as_integer_ratio(),
+                                 *ctx.kappa.as_integer_ratio()))
+
+
+def _pochhammer(lam, tn: int, td: int, p: int, q: int) -> tuple[int, int]:
+    """(tn/td)_lambda at kappa = p/q as an integer numerator and denominator."""
     num = den = 1
     for i, part in enumerate(lam):
         for j in range(part):
             num *= (tn + j * td) * q - i * p * td
             den *= td * q
-    return Fraction(num, den)
+    return num, den
 
 
 def e_epsilon(alpha, eps: int, ctx: ParamContext) -> Rat:
@@ -185,6 +192,12 @@ def e_epsilon(alpha, eps: int, ctx: ParamContext) -> Rat:
                 num *= d + eps * p
                 den *= d
     return Fraction(num, den)
+
+
+def ratio(*factors) -> Rat:
+    """The product of (numerator, denominator) pairs, as one Fraction."""
+    nums, dens = zip(*factors)
+    return Fraction(prod(nums), prod(dens))
 
 
 def orbit_count(lam) -> int:

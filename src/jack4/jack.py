@@ -41,8 +41,6 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
     """zeta_alpha by one Yang-Baxter step from its parent, which comes from
     the same "nsjp" memo entry (see the module docstring)."""
     alpha = combin.as_parts(alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("composition parts must be nonnegative")
     if len(alpha) != ctx.nvars_a:
         raise ValueError(f"composition length {len(alpha)} != context nvars {ctx.nvars_a}")
     if ctx.kappa <= 0:
@@ -75,20 +73,24 @@ def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
 def nsjp_norm(alpha, ctx: ParamContext) -> Rat:
     """<zeta_alpha, zeta_alpha>_kappa = (N kappa + 1)_{alpha+} h(alpha, 1) / h(alpha, kappa + 1).
 
-    Each factor is one of the integer closed forms of :mod:`jack4.combin`.
+    One integer product of the closed forms of :mod:`jack4.combin`.
     :func:`nsjp` computes it once per record, as ``NsjpRecord.norm``."""
-    n = len(alpha)
-    plus, _ = combin.sort_to_partition(alpha)
-    top = combin.gen_pochhammer(plus, n * ctx.kappa + 1, ctx)
-    return top * combin.hook_product(alpha, 1, ctx) / combin.hook_product(alpha, ctx.kappa + 1, ctx)
+    top, low, lower = _norm_factors(alpha, ctx)
+    return combin.ratio(top, low, lower[::-1])
 
 
 def nsjp_eval_ones(alpha, ctx: ParamContext) -> Rat:
     """zeta_alpha(1, ..., 1) = (N kappa + 1)_{alpha+} / h(alpha, kappa + 1)."""
-    n = len(alpha)
-    plus, _ = combin.sort_to_partition(alpha)
-    top = combin.gen_pochhammer(plus, n * ctx.kappa + 1, ctx)
-    return top / combin.hook_product(alpha, ctx.kappa + 1, ctx)
+    top, _, lower = _norm_factors(alpha, ctx)
+    return combin.ratio(top, lower[::-1])
+
+
+def _norm_factors(alpha, ctx: ParamContext) -> tuple:
+    """(N kappa + 1)_{alpha+}, h(alpha, 1) and h(alpha, kappa + 1) as integer ratios."""
+    alpha = combin.as_parts(alpha)
+    p, q = ctx.kappa.as_integer_ratio()
+    return (combin._pochhammer(sorted(alpha, reverse=True), len(alpha) * p + q, q, p, q),
+            combin._hook(alpha, 1, 1, p, q), combin._hook(alpha, p + q, q, p, q))
 
 
 def symmetric_jack(lam, ctx: ParamContext) -> SparsePoly:
@@ -118,9 +120,6 @@ def jack_norm(lam, ctx: ParamContext) -> Rat:
     lam = combin.as_parts(lam)
     if not combin.is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
-    n = len(lam)
-    reverse = lam[::-1]
-    value = combin.orbit_count(lam) * combin.gen_pochhammer(lam, n * ctx.kappa + 1, ctx)
-    value *= combin.hook_product(lam, 1, ctx)
-    value /= combin.e_epsilon(reverse, 1, ctx) * combin.hook_product(lam, ctx.kappa + 1, ctx)
-    return value
+    top, low, lower = _norm_factors(lam, ctx)
+    e = combin.e_epsilon(lam[::-1], 1, ctx).as_integer_ratio()
+    return combin.ratio((combin.orbit_count(lam), 1), top, low, e[::-1], lower[::-1])

@@ -24,9 +24,9 @@ image is computed once and kept in the one memo _MEMO_CACHE, keyed by
 ("D", p), ("U", p) or ("L", positions) with frame, nvars and kappa, and
 kappa_prime appended in the frames with a y_0 root (:data:`_Y0_FRAMES`); the
 other entries are shared across kappa_prime.  The same memo holds the monomial
-pairings, the records of :func:`jack4.jack.nsjp` and the symmetric Jacks, and,
-under the y3 key (kappa only), the kappa_prime-free basis polynomials and
-norms of :mod:`jack4.basis4`.  Every entry is written
+pairings, the records of :func:`jack4.jack.nsjp`, the symmetric Jacks and
+the prop1 dual vectors, and, under the y3 key (kappa only), the kappa_prime-free
+basis polynomials, norms and prop2 dual vectors.  Every entry is written
 once with one deterministic value, so concurrent get-or-compute is harmless.
 
 The images are integers.  With kappa = p/q and kappa_prime = p'/q', let
@@ -36,13 +36,12 @@ Q U_p v^exp and Q^2 L v^exp with integer coefficients.  :func:`_apply` scales
 f once to integers, F = den f, and divides each output term once, by den Q
 (den Q^2 for a Laplacian).  The pairings stay in integers throughout:
 Q^|a| <v^a, v^b> is an integer, and the "pair" entries hold these integers,
-computed from the images Q D_p v^b.  :class:`Dual` scales
-a polynomial g once to integers, G = den g, and fills its dual vector
-w[a] = sum_b G_b Q^|a| <v^a, v^b> lazily per monomial; pairing f with it is
-one integer dot product per group of component degrees that f and g share,
-and one Fraction at the end.
-:func:`pairing_kappa` and :func:`pairing_extended` are that, and the prop1
-and prop2 suites keep one dual vector per basis element.
+computed from the images Q D_p v^b.  :class:`Dual` scales a polynomial g
+once to integers, G = den g, and fills its dual vector w[a] = sum_b G_b
+Q^|a| <v^a, v^b> lazily per monomial; pairing f with it is one integer dot
+product per group of component degrees that f and g share, an integer ratio
+(:meth:`Dual.ratio`), and one Fraction at the end (:meth:`Dual.pair`).
+:func:`pairing_kappa` and :func:`pairing_extended` are that.
 """
 
 from __future__ import annotations
@@ -377,10 +376,11 @@ class Dual(dict):
         self[a] = value
         return value
 
-    def pair(self, f: "Dual") -> Rat:
-        """<f, g> for this dual vector w of g and the integer form F = den_f f:
-        per group of F that g shares, the integer dot product of F with w,
-        which carries the factor Q^d of its total degree d; then one Fraction."""
+    def ratio(self, f: "Dual") -> tuple[int, int]:
+        """<f, g> for this dual vector w of g and the integer form F = den_f f,
+        as an integer numerator and denominator: per group of F that g shares,
+        the integer dot product of F with w, which carries the factor Q^d of
+        its total degree d."""
         if f.frame != self.frame or f.nvars != self.nvars:
             raise ValueError("pairing needs matching frames")
         top = max(map(sum, f.by_blocks), default=0)
@@ -388,7 +388,11 @@ class Dual(dict):
         for key, terms in f.by_blocks.items():
             if key in self.by_blocks:
                 total += self.scale ** (top - sum(key)) * sum(n * self[a] for a, n in terms)
-        return Fraction(total, self.scale**top * f.den * self.den)
+        return total, self.scale**top * f.den * self.den
+
+    def pair(self, f: "Dual") -> Rat:
+        """<f, g> as one Fraction."""
+        return Fraction(*self.ratio(f))
 
 
 def pairing_kappa(f: SparsePoly, g: SparsePoly, ctx: ParamContext) -> Rat:

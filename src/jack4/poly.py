@@ -125,8 +125,8 @@ class SparsePoly:
         merged: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else (terms or ())
         for exp, coef in items:
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != nvars or any(e < 0 for e in exp):
+            exp = combin.as_parts(exp)
+            if len(exp) != nvars:
                 raise ValueError(f"bad exponent vector {exp} for nvars={nvars}")
             _accumulate(merged, exp, as_rational(coef))
         self.nvars = nvars
@@ -157,7 +157,7 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, exp, frame: str, coef=1) -> "SparsePoly":
-        exp = tuple(int(e) for e in exp)
+        exp = tuple(exp)  # the constructor checks the parts
         return cls(len(exp), frame, {exp: coef})
 
     @classmethod

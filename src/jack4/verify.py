@@ -3,13 +3,16 @@
 Each suite walks every label in its range, compares an operator-computed
 quantity against the corresponding closed form, and reports the count,
 the number of failures, and the first counterexample.  All comparisons are
-exact: any nonzero discrepancy is a failure.
+exact: any nonzero discrepancy is a failure.  The Gram checks of prop1 and
+prop2 compare integer ratios, from dual vectors kept per (label, kappa).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import combin
-from .basis4 import BasisLabel, basis_norm, basis_poly4, invariant_F
+from .basis4 import BasisLabel, basis_norm, basis_poly, invariant_F
 from .exact import ParamContext, format_rational
 from .hermite_cs import (
     conjugated_hamiltonian,
@@ -17,7 +20,8 @@ from .hermite_cs import (
     operator_identities_check,
 )
 from .jack import jack_norm, nsjp, nsjp_eval_ones, symmetric_jack
-from .ops import Dual, cherednik_a, pairing_kappa
+from .ops import Dual, _memo, cherednik_a, pairing_extended, pairing_kappa
+from .poly import SparsePoly, Y3, Y4, var_names, x_frame
 
 
 class SuiteReport:
@@ -95,15 +99,18 @@ def suite_eigen(ctx: ParamContext, max_degree: int) -> SuiteReport:
     return rep
 
 
-def check_gram(rep: SuiteReport, polys: list, norms: list, ctx: ParamContext, describe) -> None:
-    """Check <polys[i], polys[j]> = delta_ij norms[i] for every i <= j, in
-    that order; describe(i, j, value, expected) names a failure.  The block
-    keys of a dual vector (:class:`jack4.ops.Dual`) are the degrees of its
-    terms on the components of the root system, and terms of different keys
-    pair to zero.  So two elements with one key each, not the same, pair to
-    zero: they count as checked, in bulk.  Every other pair is computed."""
-    duals = [Dual(f, ctx) for f in polys]
-    keys = [next(iter(d.by_blocks)) if len(d.by_blocks) == 1 else None for d in duals]
+def check_gram(rep: SuiteReport, duals: list, norms: list, describe, y0=None) -> None:
+    """Check <e_i, e_j> = delta_ij norms[i] for every i <= j, in that order;
+    describe(i, j, value, expected) names a failure.  e_i is the element of
+    the dual vector duals[i] (:class:`jack4.ops.Dual`), times y_0^n if
+    y0[i] = (n, a), a = <y_0^n, y_0^n> as an integer ratio.  Terms of
+    different block keys, the degrees on the components of the root system,
+    pair to zero: so two elements with one key each (n first), not the same,
+    count as checked in bulk.  Every other pair is an integer ratio, checked
+    by one cross-multiplication; only a failure builds a Fraction."""
+    y0 = y0 or [(0, (1, 1))] * len(duals)
+    keys = [(m,) + next(iter(d.by_blocks)) if len(d.by_blocks) == 1 else None
+            for d, (m, _) in zip(duals, y0)]
     blocks: dict = {}
     for j, key in enumerate(keys):
         blocks.setdefault(key, []).append(j)
@@ -113,18 +120,29 @@ def check_gram(rep: SuiteReport, polys: list, norms: list, ctx: ParamContext, de
         key = keys[i]
         js = range(i, n) if key is None else sorted(j for j in blocks[key] + mixed if j >= i)
         rep.checked += n - i - len(js)
+        m, (an, ad) = y0[i]
         for j in js:
-            value = duals[j].pair(f)
+            num, den = duals[j].ratio(f) if y0[j][0] == m else (0, 1)
             expected = norms[i] if i == j else 0
-            rep.record(value == expected, lambda: describe(i, j, value, expected))
+            rep.record(num * an * expected.denominator == expected.numerator * ad * den,
+                       lambda: describe(i, j, Fraction(num * an, den * ad), expected))
+
+
+def _kept_duals(name: str, frame: str, labels: list, poly, ctx: ParamContext) -> list:
+    """The dual vectors of poly(label) for labels, kept in the memo per
+    (label, kappa): the frame has no y_0 root, so they serve every kappa_prime."""
+    kept = _memo(name, frame, len(var_names(frame)), ctx)
+    for label in set(labels) - kept.keys():
+        kept[label] = Dual(poly(label), ctx)
+    return [kept[label] for label in labels]
 
 
 def suite_prop1(ctx: ParamContext, max_degree: int) -> SuiteReport:
     """<zeta_a, zeta_b> = delta_ab * closed-form norm, |a|, |b| <= max_degree."""
     rep = SuiteReport("prop1", _params(ctx), max_degree)
     comps = list(combin.compositions_up_to(max_degree, ctx.nvars_a))
-    records = [nsjp(alpha, ctx) for alpha in comps]
-    check_gram(rep, [rec.poly for rec in records], [rec.norm for rec in records], ctx,
+    duals = _kept_duals("nsjp_dual", x_frame(ctx.nvars_a), comps, lambda a: nsjp(a, ctx).poly, ctx)
+    check_gram(rep, duals, [nsjp(alpha, ctx).norm for alpha in comps],
                lambda i, j, v, e: (f"<zeta_{comps[i]}, zeta_{comps[j]}> = "
                                    f"{format_rational(v)}, expected {format_rational(e)}"))
     return rep
@@ -159,14 +177,20 @@ def suite_hooks(ctx: ParamContext, max_degree: int) -> SuiteReport:
 
 def suite_prop2(ctx: ParamContext, max_degree: int) -> SuiteReport:
     """The family p_gamma y_0^n with |gamma| + n <= max_degree is orthogonal
-    with the closed-form diagonal norms, under the extended pairing."""
+    with the closed-form diagonal norms, under the extended pairing: on y4
+    the D3 pairing of y_1..y_3 times the A1 pairing of y_0, so each entry is
+    delta_nn' <y_0^n, y_0^n> <p_gamma, p_gamma'>_kappa, from the kept y3 dual
+    vectors of the p_gamma and the A1 factor paired once per n."""
     rep = SuiteReport("prop2", _params(ctx), max_degree)
     labels = basis_labels_up_to(max_degree)
-    polys = [basis_poly4(lab, ctx) for lab in labels]
-    norms = [basis_norm(lab, ctx) for lab in labels]
-    check_gram(rep, polys, norms, ctx, lambda i, j, v, e: (
+    duals = _kept_duals("basis_dual", Y3, [lab.gamma for lab in labels],
+                        lambda gamma: basis_poly(gamma, ctx), ctx)
+    powers = [SparsePoly.monomial((n, 0, 0, 0), Y4) for n in range(max_degree + 1)]
+    a1 = [pairing_extended(f, f, ctx).as_integer_ratio() for f in powers]
+    check_gram(rep, duals, [basis_norm(lab, ctx) for lab in labels], lambda i, j, v, e: (
         f"<p_{labels[i].gamma} y0^{labels[i].n}, p_{labels[j].gamma} y0^{labels[j].n}> = "
-        f"{format_rational(v)}, expected {format_rational(e)}"))
+        f"{format_rational(v)}, expected {format_rational(e)}"),
+        [(lab.n, a1[lab.n]) for lab in labels])
     return rep
 
 

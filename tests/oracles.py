@@ -3,14 +3,17 @@
 Each function here is a slow, direct route that a fast path of jack4 is
 compared against exactly: permutation algebra for the group actions, the
 dominance order that the canonical order refines, the Fraction products of
-the closed forms for their integer versions, the linear forms of the
-half-Hadamard change for the butterflies, the y0 split for the tensor form
-of the extended pairing, the Fraction kernel of the operators for their
-integer images, and the Fraction recursion of the monomial pairing for the
-integer pairing and its dual vectors, the visit of every pair for the
-block-diagonal Gram checks, the triangular eigen-solve for the Yang-Baxter
-construction of the nonsymmetric Jacks, and the row-major Monte Carlo batches
-for the column-major ones.
+the closed forms and of the norms built from them for their integer
+versions, the linear forms of the half-Hadamard change for the butterflies,
+the y0 split for the tensor form of the extended pairing, the Fraction
+kernel of the operators for their integer images, and the Fraction
+recursion of the monomial pairing for the integer pairing and its dual
+vectors, the visit of every pair for the block-diagonal Gram checks, the
+Fraction Gram entries of fresh dual vectors for the integer ones of kept
+dual vectors, the y4 Gram of the prop2 family for its A1 x D3
+factorization, the triangular eigen-solve for the Yang-Baxter construction
+of the nonsymmetric Jacks, and the row-major Monte Carlo batches for the
+column-major ones.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from jack4 import combin
+from jack4 import combin, verify
+from jack4.basis4 import basis_poly4, decompose_label
 from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
+from jack4.exact import format_rational
 from jack4.measure import _BATCH, _as_x_frame, _compile, normalization_constant
 from jack4.ops import (Dual, _apply, _memo, _quotient, _reflect, _roots, _weights, dunkl_a,
                        dunkl_b, dunkl_d0)
@@ -126,6 +131,46 @@ def e_epsilon(alpha, eps: int, ctx) -> Fraction:
                 denom = Fraction(r[i] - r[j]) * ctx.kappa + alpha[j] - alpha[i]
                 out *= 1 + Fraction(eps) * ctx.kappa / denom
     return out
+
+
+def nsjp_norm(alpha, ctx) -> Fraction:
+    """(N kappa + 1)_{alpha+} h(alpha, 1) / h(alpha, kappa + 1), a Fraction per factor."""
+    plus = tuple(sorted(alpha, reverse=True))
+    top = gen_pochhammer(plus, len(alpha) * ctx.kappa + 1, ctx)
+    return top * hook_product(alpha, 1, ctx) / hook_product(alpha, ctx.kappa + 1, ctx)
+
+
+def jack_norm(lam, ctx) -> Fraction:
+    """#{alpha: alpha+ = lambda} (N kappa + 1)_lambda h(lambda, 1)
+    / (E_1(lambda reversed) h(lambda, kappa + 1)), a Fraction per factor."""
+    value = combin.orbit_count(lam) * gen_pochhammer(lam, len(lam) * ctx.kappa + 1, ctx)
+    value *= hook_product(lam, 1, ctx)
+    value /= e_epsilon(lam[::-1], 1, ctx) * hook_product(lam, ctx.kappa + 1, ctx)
+    return value
+
+
+def y0_power_norm(n: int, ctx) -> Fraction:
+    """2^{2m} m! (kappa'+1/2)_m for n = 2m, 2^{2m+1} m! (kappa'+1/2)_{m+1} for
+    n = 2m+1, a Fraction per factor."""
+    m, odd = divmod(n, 2)
+    value = Fraction(2) ** (2 * m + odd) * rising_factorial(ctx.kappa_prime + Fraction(1, 2),
+                                                             m + odd)
+    for j in range(1, m + 1):
+        value *= j
+    return value
+
+
+def gamma_norm(gamma, ctx) -> Fraction:
+    """2^{|beta|} (3 kappa + 1)_{alpha+} (2 kappa + 1/2)_{(beta-alpha)+}
+    h(alpha, 1) / h(alpha, kappa + 1), a Fraction per factor."""
+    d = decompose_label(gamma)
+    alpha_plus = tuple(sorted(d.alpha, reverse=True))
+    diff_plus = tuple(sorted((b - a for b, a in zip(d.beta, d.alpha)), reverse=True))
+    value = Fraction(2) ** weight(d.beta)
+    value *= gen_pochhammer(alpha_plus, 3 * ctx.kappa + 1, ctx)
+    value *= gen_pochhammer(diff_plus, 2 * ctx.kappa + Fraction(1, 2), ctx)
+    value *= hook_product(d.alpha, 1, ctx)
+    return value / hook_product(d.alpha, ctx.kappa + 1, ctx)
 
 
 # ---------------------------------------------------------------------- coordinates
@@ -256,6 +301,55 @@ def pairing_by_fractions(f: SparsePoly, g: SparsePoly, ctx) -> Fraction:
             if degrees(ea) == degrees(eb):
                 total += ca * cb * monomial_pairing(ea, eb)
     return total
+
+
+def block_gram(rep, polys: list, norms: list, ctx, describe) -> None:
+    """``verify.check_gram`` as it was before the Gram entries became integer
+    ratios: one dual vector per polynomial, the pairs of two elements with
+    different single block keys counted in bulk, every other pair i <= j
+    paired as a Fraction and recorded, in that order."""
+    duals = [Dual(f, ctx) for f in polys]
+    keys = [next(iter(d.by_blocks)) if len(d.by_blocks) == 1 else None for d in duals]
+    blocks: dict = {}
+    for j, key in enumerate(keys):
+        blocks.setdefault(key, []).append(j)
+    mixed = blocks.pop(None, [])
+    n = len(duals)
+    for i, f in enumerate(duals):
+        key = keys[i]
+        js = range(i, n) if key is None else sorted(j for j in blocks[key] + mixed if j >= i)
+        rep.checked += n - i - len(js)
+        for j in js:
+            value = duals[j].pair(f)
+            expected = norms[i] if i == j else 0
+            rep.record(value == expected, lambda: describe(i, j, value, expected))
+
+
+def prop1_by_polys(ctx, max_degree: int):
+    """``verify.suite_prop1`` with a fresh dual vector per zeta_alpha and
+    Fraction Gram entries (:func:`block_gram`); the records come from
+    ``verify.nsjp``."""
+    rep = verify.SuiteReport("prop1", verify._params(ctx), max_degree)
+    comps = list(combin.compositions_up_to(max_degree, ctx.nvars_a))
+    records = [verify.nsjp(alpha, ctx) for alpha in comps]
+    block_gram(rep, [rec.poly for rec in records], [rec.norm for rec in records], ctx,
+               lambda i, j, v, e: (f"<zeta_{comps[i]}, zeta_{comps[j]}> = "
+                                   f"{format_rational(v)}, expected {format_rational(e)}"))
+    return rep
+
+
+def prop2_in_y4(ctx, max_degree: int):
+    """``verify.suite_prop2`` by the route the A1 x D3 factorization replaced:
+    :func:`block_gram` over the dual vectors of p_gamma y_0^n in y4, whose
+    memo keys carry kappa_prime; the norms come from ``verify.basis_norm``."""
+    rep = verify.SuiteReport("prop2", verify._params(ctx), max_degree)
+    labels = verify.basis_labels_up_to(max_degree)
+    polys = [basis_poly4(lab, ctx) for lab in labels]
+    norms = [verify.basis_norm(lab, ctx) for lab in labels]
+    block_gram(rep, polys, norms, ctx, lambda i, j, v, e: (
+        f"<p_{labels[i].gamma} y0^{labels[i].n}, p_{labels[j].gamma} y0^{labels[j].n}> = "
+        f"{format_rational(v)}, expected {format_rational(e)}"))
+    return rep
 
 
 def upper_pairings(polys: list, ctx):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from jack4 import combin
+import oracles
+from conftest import KAPPA_PRIMES, KAPPAS, PARAM_PAIRS
+from jack4 import combin, verify
 from jack4.basis4 import (
     W_TABLE,
     BasisLabel,
@@ -16,9 +18,9 @@ from jack4.basis4 import (
     y0_power_norm,
 )
 from jack4.exact import make_context
-from jack4.jack import symmetric_jack
+from jack4.jack import jack_norm, nsjp_eval_ones, nsjp_norm, symmetric_jack
 from jack4.ops import cherednik_b, dunkl_d0, pairing_extended, pairing_kappa
-from jack4.poly import SparsePoly, Y0, embed_y3, to_x
+from jack4.poly import SparsePoly, Y0, Y3, Y4, embed_y3, to_x
 
 
 def test_w_table_matches_order_preservation_rule():
@@ -154,6 +156,64 @@ def test_basis_norm_against_pairing_sample(ctx_each_pair):
     for lab in labels:
         f = basis_poly4(lab, ctx)
         assert pairing_extended(f, f, ctx) == basis_norm(lab, ctx)
+
+
+@pytest.mark.parametrize("kappa, kappa_prime",
+                         [*itertools.product(KAPPAS, KAPPA_PRIMES), (Fraction(5, 7), Fraction(1, 3))])
+def test_norms_match_the_fraction_oracles(kappa, kappa_prime):
+    """The integer closed-form norms equal the Fraction products they
+    replaced, on every label of degree <= 6."""
+    ctx = make_context(kappa, kappa_prime, 3)
+    for gamma in combin.compositions_up_to(6, 3):
+        assert gamma_norm(gamma, ctx) == oracles.gamma_norm(gamma, ctx), gamma
+    for n in range(7):
+        assert y0_power_norm(n, ctx) == oracles.y0_power_norm(n, ctx), n
+    for label in verify.basis_labels_up_to(6):
+        assert basis_norm(label, ctx) == (oracles.gamma_norm(label.gamma, ctx)
+                                          * oracles.y0_power_norm(label.n, ctx)), label
+    for nvars in (2, 3, 4):
+        ctx = make_context(kappa, kappa_prime, nvars)
+        for alpha in combin.compositions_up_to(6, nvars):
+            assert nsjp_norm(alpha, ctx) == oracles.nsjp_norm(alpha, ctx), alpha
+        for lam in combin.partitions_up_to(6, nvars):
+            assert jack_norm(lam, ctx) == oracles.jack_norm(lam, ctx), lam
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: y0_power_norm(-1, ctx),
+    lambda ctx: y0_power_norm(1.5, ctx),
+    lambda ctx: basis_norm(BasisLabel((1, 0, 0), -2), ctx),
+    lambda ctx: basis_norm(BasisLabel((-1, 0, 0), 0), ctx),
+    lambda ctx: gamma_norm((1.0, 0, 0), ctx),  # equal to a memoized key
+    lambda ctx: nsjp_norm((-1, 0, 0), ctx),
+    lambda ctx: nsjp_norm((1.5, 0, 0), ctx),
+    lambda ctx: nsjp_eval_ones((-1, 0, 0), ctx),
+    lambda ctx: nsjp_eval_ones((1.5, 0, 0), ctx),
+    lambda ctx: jack_norm((1, 0, -1), ctx),
+], ids=["y0-negative", "y0-float", "basis-n", "basis-gamma", "gamma-float", "nsjp-negative",
+        "nsjp-float", "eval-ones-negative", "eval-ones-float", "jack-negative"])
+def test_norms_refuse_bad_labels(ctx, call):
+    """A negative or non-integer part is refused with ValueError, not read as
+    some other label."""
+    gamma_norm((1, 0, 0), ctx)
+    with pytest.raises(ValueError, match=r"part .* of .* is (negative|not an integer)"):
+        call(ctx)
+
+
+@pytest.mark.parametrize("kappa, kappa_prime", [*PARAM_PAIRS, (Fraction(5, 7), Fraction(1, 3))])
+def test_extended_pairing_factors_as_a1_times_d3(kappa, kappa_prime):
+    """<f y_0^n, g y_0^m> = delta_nm <y_0^n, y_0^n> <f, g>_kappa for y3
+    polynomials f and g: every monomial of degree <= 2, basis elements of
+    degree 3, and a mixture of degrees 0, 1 and 3."""
+    ctx = make_context(kappa, kappa_prime, 3)
+    factors = [SparsePoly.monomial(e, Y3) for e in combin.compositions_up_to(2, 3)]
+    factors += [basis_poly(g, ctx) for g in ((3, 0, 0), (1, 1, 1), (0, 2, 1))]
+    factors.append(factors[-1] + Fraction(2, 3) * factors[4] + factors[0])
+    a1 = [pairing_extended(*[SparsePoly.monomial((n, 0, 0, 0), Y4)] * 2, ctx) for n in range(3)]
+    elements = [(f, n) for f in factors for n in range(3)]
+    for (f, n), (g, m) in itertools.combinations_with_replacement(elements, 2):
+        expected = a1[n] * pairing_kappa(f, g, ctx) if n == m else 0
+        assert pairing_extended(embed_y3(f, n), embed_y3(g, m), ctx) == expected, (f, n, g, m)
 
 
 def test_basis_orthogonality_sample(ctx):

@@ -365,6 +365,18 @@ GOLDEN_STDOUT = {
     # non-integer powers in the weight, and one partial batch
     ("mc-check", "--kappa", "5/7", "--kappa-prime", "1/3", "--samples", "50000"):
         "37c0d94dd13540cde27e78584a88998ee1f129103c8e111135d675b85ad50359",
+    # y0 norms at a kappa' with q' > 1, where none is trivial; prop2 as the
+    # D3 Gram times the A1 factor; a three-variable zeta at a kappa with q > 1
+    ("norm-table", "--max-degree", "5", "--kappa", "5/7", "--kappa-prime", "1/3"):
+        "420a6ecb33148b0af5e1faf627c858a1cf9764b6a979f59dcc564c225034000a",
+    ("norm-table", "--max-degree", "5", "--kappa", "5/7", "--kappa-prime", "1/3",
+     "--format", "csv"):
+        "51d5daf3940d6f40f19e776ff6be9926b0f579a13edc17376ccb1b80739c6911",
+    ("verify", "--suite", "prop2", "--max-degree", "6", "--kappa", "1/2",
+     "--kappa-prime", "2"):
+        "966c7d7f6b25d17c69350f5cfbb1eb8030ae8650852a0934f92d878970e1777b",
+    ("nsjp", "--alpha", "3,0,2", "--kappa", "5/7"):
+        "249292039c70159b0d735bbb0339f36a3bd631e55f5bfdef2b4570b22cc8a6c5",
 }
 # Exit codes other than 0 of the pinned commands.  At kappa = 3 the weights
 # of the Gaussian draw are heavy-tailed, the estimates miss the exact norms by

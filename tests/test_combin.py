@@ -294,3 +294,12 @@ def test_non_integer_parts_are_refused(entry):
     assert call(2) == call(True + 1)
     assert combin.as_parts([2, True, 0]) == (2, 1, 0)
     assert combin.as_parts(iter((3, 0))) == (3, 0)
+
+
+@pytest.mark.parametrize("entry", list(_entries()))
+def test_negative_parts_are_refused(entry):
+    """A negative part raises ValueError naming it, at the same entries."""
+    with pytest.raises(ValueError, match=re.escape("part -1 of ") + ".* is negative"):
+        _entries()[entry](-1)
+    with pytest.raises(ValueError, match="is negative"):
+        combin.as_parts([2, -3, 0])

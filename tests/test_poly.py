@@ -42,6 +42,18 @@ def xvar(i, nvars=3):
     return SparsePoly.variable(i, nvars, f"x{nvars}")
 
 
+@pytest.mark.parametrize("bad", (1.5, 2.9, Fraction(3, 2), -1))
+def test_refuses_non_integer_and_negative_exponents(bad):
+    """An exponent such as 1.5 or 2.9 is refused, where it was once truncated
+    to 1 or 2; a plain int is taken as it is."""
+    for make in (lambda e: SparsePoly.monomial((e, 0, 0), "x3"),
+                 lambda e: SparsePoly(3, "x3", {(e, 0, 0): 1})):
+        with pytest.raises(ValueError, match=r"part .* of .* is (negative|not an integer)"):
+            make(bad)
+        assert make(2).terms == {(2, 0, 0): 1}
+        assert type(next(iter(make(2).terms))[0]) is int
+
+
 def test_refuses_float_coefficients():
     with pytest.raises(ValueError, match="float"):
         SparsePoly(3, "y3", {(1, 0, 0): 0.1})
