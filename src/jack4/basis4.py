@@ -78,17 +78,11 @@ def basis_poly(gamma, ctx: ParamContext) -> SparsePoly:
 
 
 def basis_poly4(label: BasisLabel, ctx: ParamContext) -> SparsePoly:
-    """p_gamma(y) * y_0^n embedded in the y4 frame; it does not depend on
-    kappa_prime, so it is memoized per (label, kappa) like :func:`gamma_norm`."""
+    """p_gamma(y) * y_0^n embedded in the y4 frame."""
     gamma, n = label
     if n < 0:
         raise ValueError("y0 exponent must be nonnegative")
-    polys = _memo("basis_poly4", Y3, 3, ctx)
-    key = (tuple(gamma), n)
-    f = polys.get(key)
-    if f is None:
-        f = polys[key] = embed_y3(basis_poly(gamma, ctx), y0_power=n)
-    return f
+    return embed_y3(basis_poly(gamma, ctx), y0_power=n)
 
 
 def y0_power_norm(n: int, ctx: ParamContext) -> Rat:
@@ -110,19 +104,18 @@ def gamma_norm(gamma, ctx: ParamContext) -> Rat:
     value does not depend on kappa_prime, so it is memoized once per
     (gamma, kappa) in ``ops._MEMO_CACHE`` under the y3 key rule, and shared
     by every kappa_prime of :func:`basis_norm`."""
-    norms = _memo("gamma_norm", Y3, 3, ctx)
-    gamma = combin.as_parts(gamma)
-    value = norms.get(gamma)
-    if value is None:
-        d = decompose_label(gamma)
-        p, q = ctx.kappa.as_integer_ratio()
-        diff = sorted((b - a for b, a in zip(d.beta, d.alpha)), reverse=True)
-        value = norms[gamma] = combin.ratio(
-            (2 ** combin.weight(d.beta), 1),
-            combin._pochhammer(sorted(d.alpha, reverse=True), 3 * p + q, q, p, q),
-            combin._pochhammer(diff, 4 * p + q, 2 * q, p, q), combin._hook(d.alpha, 1, 1, p, q),
-            combin._hook(d.alpha, p + q, q, p, q)[::-1])
-    return value
+    return _memo("gamma_norm", Y3, 3, ctx, _gamma_norm)[combin.as_parts(gamma)]
+
+
+def _gamma_norm(norms, gamma) -> Rat:
+    d = decompose_label(gamma)
+    p, q = norms.ctx.kappa.as_integer_ratio()
+    diff = sorted((b - a for b, a in zip(d.beta, d.alpha)), reverse=True)
+    return combin.ratio(
+        (2 ** combin.weight(d.beta), 1),
+        combin._pochhammer(sorted(d.alpha, reverse=True), 3 * p + q, q, p, q),
+        combin._pochhammer(diff, 4 * p + q, 2 * q, p, q), combin._hook(d.alpha, 1, 1, p, q),
+        combin._hook(d.alpha, p + q, q, p, q)[::-1])
 
 
 def basis_norm(label: BasisLabel, ctx: ParamContext) -> Rat:
@@ -150,16 +143,17 @@ class InvariantRecord(NamedTuple):
 
 def invariant_F(lam, s: int, ctx: ParamContext) -> InvariantRecord:
     """F^0_lambda = j_lambda(y^2) or F^1_lambda = y_1 y_2 y_3 j_lambda(y^2); free
-    of kappa_prime, so memoized per (lambda, s, kappa) like :func:`basis_poly4`."""
+    of kappa_prime, so memoized per (lambda, s, kappa) like :func:`gamma_norm`."""
     lam = combin.as_parts(lam)
     if len(lam) != 3:
         raise ValueError("lambda must have three parts")
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
-    records = _memo("invariant_F", Y3, 3, ctx)
-    rec = records.get((lam, s))
-    if rec is not None:
-        return rec
+    return _memo("invariant_F", Y3, 3, ctx, _invariant_record)[lam, s]
+
+
+def _invariant_record(records, key) -> InvariantRecord:
+    (lam, s), ctx = key, records.ctx
     f = substitute_squares(symmetric_jack(lam, ctx))
     if s:
         f = SparsePoly.monomial((1, 1, 1), Y3) * f
@@ -170,6 +164,4 @@ def invariant_F(lam, s: int, ctx: ParamContext) -> InvariantRecord:
         * combin.gen_pochhammer(shifted, 2 * ctx.kappa + Fraction(1, 2), ctx)
         * a_lambda
     )
-    pairing = pairing_kappa(f, f, ctx)
-    rec = records[lam, s] = InvariantRecord(lam, s, f, a_lambda, formula, pairing)
-    return rec
+    return InvariantRecord(lam, s, f, a_lambda, formula, pairing_kappa(f, f, ctx))

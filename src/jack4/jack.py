@@ -38,36 +38,34 @@ class NsjpRecord(NamedTuple):
 
 
 def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
-    """zeta_alpha by one Yang-Baxter step from its parent, which comes from
-    the same "nsjp" memo entry (see the module docstring)."""
+    """zeta_alpha with its spectral vector and norm, from the "nsjp" memo
+    entry per (alpha, kappa)."""
     alpha = combin.as_parts(alpha)
     if len(alpha) != ctx.nvars_a:
         raise ValueError(f"composition length {len(alpha)} != context nvars {ctx.nvars_a}")
     if ctx.kappa <= 0:
         raise ValueError("nonsymmetric Jack construction requires kappa > 0")
-    nvars = len(alpha)
-    frame = x_frame(nvars)
-    records = _memo("nsjp", frame, nvars, ctx)
-    cached = records.get(alpha)
-    if cached is not None:
-        return cached
+    return _memo("nsjp", x_frame(len(alpha)), len(alpha), ctx, _yang_baxter_step)[alpha]
 
+
+def _yang_baxter_step(records, alpha) -> NsjpRecord:
+    """The compute of the "nsjp" entry: zeta_alpha by one Yang-Baxter step
+    from its parent, read from the same entry (see the module docstring)."""
+    ctx = records.ctx
     if alpha[-1]:
-        parent = nsjp((alpha[-1] - 1,) + alpha[:-1], ctx)
+        parent = records[(alpha[-1] - 1,) + alpha[:-1]]
         terms = {e[1:] + (e[0] + 1,): c for e, c in parent.poly.terms.items()}
     elif any(alpha):
         i = max(p for p, a in enumerate(alpha) if a)
-        parent = nsjp(alpha[:i] + (0, alpha[i]) + alpha[i + 2:], ctx)
+        parent = records[alpha[:i] + (0, alpha[i]) + alpha[i + 2:]]
         scale = -ctx.kappa / (parent.spectral[i] - parent.spectral[i + 1])
         terms = {e: scale * c for e, c in parent.poly.terms.items()}
         for e, c in parent.poly.terms.items():
             _accumulate(terms, e[:i] + (e[i + 1], e[i]) + e[i + 2:], c)
     else:
         terms = {alpha: Rat(1)}
-    poly = SparsePoly._of(nvars, frame, terms)
-    spectral = combin.spectral_vector(alpha, ctx)
-    record = records[alpha] = NsjpRecord(alpha, poly, spectral, nsjp_norm(alpha, ctx))
-    return record
+    poly = SparsePoly._of(len(alpha), records.frame, terms)
+    return NsjpRecord(alpha, poly, combin.spectral_vector(alpha, ctx), nsjp_norm(alpha, ctx))
 
 
 def nsjp_norm(alpha, ctx: ParamContext) -> Rat:
@@ -100,17 +98,17 @@ def symmetric_jack(lam, ctx: ParamContext) -> SparsePoly:
     lam = combin.as_parts(lam)
     if not combin.is_partition(lam):
         raise ValueError(f"{lam} is not a partition")
-    frame = x_frame(len(lam))
-    jacks = _memo("jack", frame, len(lam), ctx)
-    j = jacks.get(lam)
-    if j is None:
-        terms: dict = {}
-        for alpha in combin.rearrangements(lam):
-            e = combin.e_epsilon(alpha, -1, ctx)
-            for exp, c in nsjp(alpha, ctx).poly.terms.items():
-                _accumulate(terms, exp, e * c)
-        j = jacks[lam] = SparsePoly._of(len(lam), frame, terms)
-    return j
+    return _memo("jack", x_frame(len(lam)), len(lam), ctx, _symmetrize)[lam]
+
+
+def _symmetrize(jacks, lam) -> SparsePoly:
+    """The compute of the "jack" entry."""
+    terms: dict = {}
+    for alpha in combin.rearrangements(lam):
+        e = combin.e_epsilon(alpha, -1, jacks.ctx)
+        for exp, c in nsjp(alpha, jacks.ctx).poly.terms.items():
+            _accumulate(terms, exp, e * c)
+    return SparsePoly._of(len(lam), jacks.frame, terms)
 
 
 def jack_norm(lam, ctx: ParamContext) -> Rat:

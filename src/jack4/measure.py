@@ -18,7 +18,7 @@ whether it is estimated alone or together with others.
 A batch is held column-major: one contiguous array per coordinate, which
 the weights and the polynomial terms read without strides.  The generator
 fills blocks of rows, the same stream as one (m, 4) draw, and each block is
-copied in transposed, with its row sums as the centre.  The weight, each
+copied in transposed; the centre is ((x0 + x1) + x2) + x3.  The weight, each
 term and each product are computed in place, in arrays allocated once per
 call and reused by every batch and pair.  Every float operation is the one
 the (m, 4) layout made, in the same order, so the estimates are the same
@@ -105,8 +105,9 @@ def _compile(f: SparsePoly):
 
 def _draw(rng, x: np.ndarray, sums: np.ndarray) -> None:
     """Fill x, of shape (4, m), with m standard Gaussian points of R^4, x[v]
-    being coordinate v of every point, and ``sums`` with each point's row
-    sum, block by block of rows: the bits of one (m, 4) draw."""
+    being coordinate v of every point, block by block of rows: the bits of
+    one (m, 4) draw.  ``sums`` gets ((x0 + x1) + x2) + x3, the order in which
+    numpy sums a row of the (m, 4) draw."""
     import numpy as np
 
     m = x.shape[1]
@@ -114,9 +115,10 @@ def _draw(rng, x: np.ndarray, sums: np.ndarray) -> None:
     for start in range(0, m, len(block)):
         rows = block[: min(len(block), m - start)]
         rng.standard_normal(out=rows)
-        stop = start + len(rows)
-        x[:, start:stop] = rows.T
-        rows.sum(axis=1, out=sums[start:stop])
+        x[:, start:start + len(rows)] = rows.T
+    np.add(x[0], x[1], out=sums)
+    sums += x[2]
+    sums += x[3]
 
 
 def _weigh(weight: np.ndarray, c: float, cfg: McConfig, x, sums, factor) -> None:

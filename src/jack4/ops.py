@@ -20,14 +20,13 @@ x4 definition, D'_i f = D_i f + (kappa_prime / (2 y_0)) (f - f sigma_0).
 
 D_p, U_p and these Laplacians are linear and graded, so each is applied to f
 as the sum of c times its image of v^exp over the terms c v^exp of f.  Each
-image is computed once and kept in the one memo _MEMO_CACHE, keyed by
-("D", p), ("U", p) or ("L", positions) with frame, nvars and kappa, and
-kappa_prime appended in the frames with a y_0 root (:data:`_Y0_FRAMES`); the
-other entries are shared across kappa_prime.  The same memo holds the monomial
-pairings, the records of :func:`jack4.jack.nsjp`, the symmetric Jacks and
-the prop1 dual vectors, and, under the y3 key (kappa only), the kappa_prime-free
-basis polynomials, norms and prop2 dual vectors.  Every entry is written
-once with one deterministic value, so concurrent get-or-compute is harmless.
+image is computed once and kept in the one memo _MEMO_CACHE, in the entry
+("D", p), ("U", p) or ("L", positions) of its frame and nvars.  Entries live
+in parameter groups: kappa, with kappa_prime added in the frames with a y_0
+root (:data:`_Y0_FRAMES`), so the other entries are shared across
+kappa_prime.  The same memo holds the monomial pairings, the records of
+:func:`jack4.jack.nsjp`, the symmetric Jacks, the kappa_prime-free norms and
+invariants, and the dual vectors kept by prop1 and prop2.
 
 The images are integers.  With kappa = p/q and kappa_prime = p'/q', let
 Q = lcm(q, q') in the frames with a y_0 root and Q = q in the others.  The
@@ -48,7 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .exact import ParamContext, Rat
 from .poly import (SparsePoly, Y3, Y4, _FRAMES, _accumulate, _integer_form, frame_spec,
@@ -143,58 +142,71 @@ def _weights(frame: str, ctx: ParamContext) -> tuple:
     return scale, k.numerator * (scale // k.denominator), kp.numerator * (scale // kp.denominator)
 
 
-class _Images(dict):
-    """The memo entry of one operator: exp -> integer terms of Q D_p, Q U_p
-    or Q^2 L applied to v^exp, computed on first lookup.  The inner factors
-    of U and L come from the kernel directly; only the outer image is stored."""
+class _Entry(dict):
+    """One memo entry: a missing value is computed once as compute(entry,
+    key) and kept.  ``weights`` are the kernel weights of its frame and group
+    (:func:`_weights`); ``ctx`` is the context of its latest lookup."""
 
-    def __init__(self, op: tuple, rows: tuple, weights: tuple):
-        self.op, self.rows, self.weights = op, rows, weights
+    def __init__(self, kind, frame: str, weights: tuple, compute):
+        self.kind, self.frame, self.weights, self.compute = kind, frame, weights, compute
 
-    def __missing__(self, exp):
-        (kind, arg), rows, weights = self.op, self.rows, self.weights
-        if kind == "D":
-            image = _kernel(arg, exp, 1, rows, weights, {})
-        elif kind == "L":
-            image = {}
-            for p in arg:
-                for e2, c in _kernel(p, exp, 1, rows, weights, {}).items():
-                    _kernel(p, e2, c, rows, weights, image)
-        else:  # "U"
-            p = arg
-            image = _kernel(p, exp[:p] + (exp[p] + 1,) + exp[p + 1:], 1, rows, weights, {})
-            for q, s in rows[p]:
-                if q is not None and q < p:
-                    e2, sign = _reflect(exp, p, q, s)
-                    _accumulate(image, e2, -sign * weights[1])
-        self[exp] = image
+    def __missing__(self, key):
+        value = self[key] = self.compute(self, key)
+        return value
+
+
+def _image(images: _Entry, exp) -> dict:
+    """The compute of the operator entries ("D", p), ("U", p) and ("L",
+    positions): the integer terms of Q D_p, Q U_p or Q^2 L applied to v^exp.
+    The inner factors of U and L come from the kernel directly; only the
+    outer image is stored."""
+    (kind, arg), rows, weights = images.kind, _roots(images.frame)[0], images.weights
+    if kind == "D":
+        return _kernel(arg, exp, 1, rows, weights, {})
+    if kind == "L":
+        image: dict = {}
+        for p in arg:
+            for e2, c in _kernel(p, exp, 1, rows, weights, {}).items():
+                _kernel(p, e2, c, rows, weights, image)
         return image
+    image = _kernel(arg, exp[:arg] + (exp[arg] + 1,) + exp[arg + 1:], 1, rows, weights, {})
+    for q, s in rows[arg]:
+        if q is not None and q < arg:
+            e2, sign = _reflect(exp, arg, q, s)
+            _accumulate(image, e2, -sign * weights[1])
+    return image
 
 
+# Parameter group -> (kind, frame, nvars) -> entry.  Creating a group beyond
+# _MEMO_GROUPS drops the oldest-created; the certification grid makes 12.
+_MEMO_GROUPS = 16
 _MEMO_CACHE: dict = {}
 
 
-def _memo(name, frame: str, nvars: int, ctx: ParamContext) -> dict:
-    # The parameters enter the key as integer ratios: a tuple of ints hashes
-    # in C, while Fraction.__hash__ runs in Python on every lookup.
-    key = (name, frame, nvars, ctx.kappa.as_integer_ratio())
+def _memo(kind, frame: str, nvars: int, ctx: ParamContext, compute) -> _Entry:
+    """The entry (kind, frame, nvars) of ctx's parameter group, made with
+    ``compute`` if new.  A group's values depend only on its parameters, so
+    the entry computes with the ctx of its latest lookup."""
+    # ints hash in C; Fraction.__hash__ runs in Python on every lookup
+    params = ctx.kappa.as_integer_ratio()
     if frame in _Y0_FRAMES:
-        key += (ctx.kappa_prime.as_integer_ratio(),)
-    entry = _MEMO_CACHE.get(key)
+        params += ctx.kappa_prime.as_integer_ratio()
+    group = _MEMO_CACHE.get(params)
+    if group is None:
+        if len(_MEMO_CACHE) >= _MEMO_GROUPS:
+            del _MEMO_CACHE[next(iter(_MEMO_CACHE))]
+        group = _MEMO_CACHE[params] = {}
+    entry = group.get((kind, frame, nvars))
     if entry is None:
-        # operator names are tuples; "pair" and "nsjp" hold plain values
-        entry = _MEMO_CACHE[key] = (
-            _Images(name, _roots(frame)[0], _weights(frame, ctx))
-            if isinstance(name, tuple)
-            else {}
-        )
+        entry = group[kind, frame, nvars] = _Entry(kind, frame, _weights(frame, ctx), compute)
+    entry.ctx = ctx
     return entry
 
 
 def _apply(op: tuple, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """op f as the sum of n * (memoized integer image of v^exp) over the terms
     n v^exp of F = den f, divided by den Q^k: k = 2 for a Laplacian, else 1."""
-    images = _memo(op, f.frame, f.nvars, ctx)
+    images = _memo(op, f.frame, f.nvars, ctx, _image)
     den, terms = _integer_form(f)
     den *= images.weights[0] ** (2 if op[0] == "L" else 1)
     acc: dict = {}
@@ -319,26 +331,22 @@ def euler(f: SparsePoly) -> SparsePoly:
 # ---------------------------------------------------------------------- pairings
 
 
-def _monomial_pairing(pairs: dict, images: list, a, b) -> int:
-    """Q^|a| <v^a, v^b>, an integer, for monomials of equal degree on every
-    component, by Q^|a| <v^a, v^b> = Q^(|a| - 1) <v^(a - e_p), Q D_{e_p} v^b>,
-    p the first position with a_p > 0; the D_{e_p} commute, so any p gives
-    the same value.  ``images`` are the integer images Q D_{e_p}.  D_{e_p}
-    lowers the degree on p's component by one, so the degrees keep agreeing
-    all the way down to <1, 1> = 1."""
-    key = (a, b)
-    value = pairs.get(key)
-    if value is not None:
-        return value
+def _monomial_pairing(images: list, pairs: _Entry, key) -> int:
+    """The compute of the "pair" entry: Q^|a| <v^a, v^b>, an integer, for
+    key (a, b), monomials of equal degree on every component, by
+    Q^|a| <v^a, v^b> = Q^(|a| - 1) <v^(a - e_p), Q D_{e_p} v^b>, p the first
+    position with a_p > 0; the D_{e_p} commute, so any p gives the same
+    value.  ``images`` are the operator entries ("D", p) of the frame.
+    D_{e_p} lowers the degree on p's component by one, so the degrees keep
+    agreeing all the way down to <1, 1> = 1."""
+    a, b = key
     p = next((q for q, e in enumerate(a) if e), None)
     if p is None:
-        value = 1
-    else:
-        lower = a[:p] + (a[p] - 1,) + a[p + 1:]
-        value = 0
-        for c, coef in images[p][b].items():
-            value += coef * _monomial_pairing(pairs, images, lower, c)
-    pairs[key] = value
+        return 1
+    lower = a[:p] + (a[p] - 1,) + a[p + 1:]
+    value = 0
+    for c, coef in images[p][b].items():
+        value += coef * pairs[lower, c]
     return value
 
 
@@ -360,19 +368,19 @@ class Dual(dict):
     def __init__(self, g: SparsePoly, ctx: ParamContext):
         self.frame, self.nvars = g.frame, g.nvars
         _, self.blocks = _roots(g.frame)
-        self.scale = _weights(g.frame, ctx)[0]
         self.den, terms = _integer_form(g)
         self.by_blocks: dict = {}  # degree on every component -> [(exp, G_exp)]
         for exp, n in terms.items():
             self.by_blocks.setdefault(tuple(sum(exp[s]) for s in self.blocks), []).append((exp, n))
-        self.pairs = _memo("pair", g.frame, g.nvars, ctx)
-        self.images = [_memo(("D", p), g.frame, g.nvars, ctx) for p in range(g.nvars)]
+        images = [_memo(("D", p), g.frame, g.nvars, ctx, _image) for p in range(g.nvars)]
+        self.pairs = _memo("pair", g.frame, g.nvars, ctx, partial(_monomial_pairing, images))
+        self.scale = self.pairs.weights[0]
 
     def __missing__(self, a):
-        pairs, images = self.pairs, self.images
+        pairs = self.pairs
         value = 0
         for b, n in self.by_blocks.get(tuple(sum(a[s]) for s in self.blocks), ()):
-            value += n * _monomial_pairing(pairs, images, a, b)
+            value += n * pairs[a, b]
         self[a] = value
         return value
 

@@ -21,7 +21,7 @@ from .hermite_cs import (
 )
 from .jack import jack_norm, nsjp, nsjp_eval_ones, symmetric_jack
 from .ops import Dual, _memo, cherednik_a, pairing_extended, pairing_kappa
-from .poly import SparsePoly, Y3, Y4, var_names, x_frame
+from .poly import SparsePoly, Y3, Y4, x_frame
 
 
 class SuiteReport:
@@ -128,21 +128,13 @@ def check_gram(rep: SuiteReport, duals: list, norms: list, describe, y0=None) ->
                        lambda: describe(i, j, Fraction(num * an, den * ad), expected))
 
 
-def _kept_duals(name: str, frame: str, labels: list, poly, ctx: ParamContext) -> list:
-    """The dual vectors of poly(label) for labels, kept in the memo per
-    (label, kappa): the frame has no y_0 root, so they serve every kappa_prime."""
-    kept = _memo(name, frame, len(var_names(frame)), ctx)
-    for label in set(labels) - kept.keys():
-        kept[label] = Dual(poly(label), ctx)
-    return [kept[label] for label in labels]
-
-
 def suite_prop1(ctx: ParamContext, max_degree: int) -> SuiteReport:
     """<zeta_a, zeta_b> = delta_ab * closed-form norm, |a|, |b| <= max_degree."""
     rep = SuiteReport("prop1", _params(ctx), max_degree)
     comps = list(combin.compositions_up_to(max_degree, ctx.nvars_a))
-    duals = _kept_duals("nsjp_dual", x_frame(ctx.nvars_a), comps, lambda a: nsjp(a, ctx).poly, ctx)
-    check_gram(rep, duals, [nsjp(alpha, ctx).norm for alpha in comps],
+    kept = _memo("nsjp_dual", x_frame(ctx.nvars_a), ctx.nvars_a, ctx,
+                 lambda entry, a: Dual(nsjp(a, entry.ctx).poly, entry.ctx))
+    check_gram(rep, [kept[a] for a in comps], [nsjp(alpha, ctx).norm for alpha in comps],
                lambda i, j, v, e: (f"<zeta_{comps[i]}, zeta_{comps[j]}> = "
                                    f"{format_rational(v)}, expected {format_rational(e)}"))
     return rep
@@ -183,8 +175,9 @@ def suite_prop2(ctx: ParamContext, max_degree: int) -> SuiteReport:
     vectors of the p_gamma and the A1 factor paired once per n."""
     rep = SuiteReport("prop2", _params(ctx), max_degree)
     labels = basis_labels_up_to(max_degree)
-    duals = _kept_duals("basis_dual", Y3, [lab.gamma for lab in labels],
-                        lambda gamma: basis_poly(gamma, ctx), ctx)
+    kept = _memo("basis_dual", Y3, 3, ctx,
+                 lambda entry, gamma: Dual(basis_poly(gamma, entry.ctx), entry.ctx))
+    duals = [kept[lab.gamma] for lab in labels]
     powers = [SparsePoly.monomial((n, 0, 0, 0), Y4) for n in range(max_degree + 1)]
     a1 = [pairing_extended(f, f, ctx).as_integer_ratio() for f in powers]
     check_gram(rep, duals, [basis_norm(lab, ctx) for lab in labels], lambda i, j, v, e: (

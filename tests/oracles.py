@@ -26,7 +26,7 @@ from jack4.basis4 import basis_poly4, decompose_label
 from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
 from jack4.exact import format_rational
 from jack4.measure import _BATCH, _as_x_frame, _compile, normalization_constant
-from jack4.ops import (Dual, _apply, _memo, _quotient, _reflect, _roots, _weights, dunkl_a,
+from jack4.ops import (Dual, _apply, _image, _memo, _quotient, _reflect, _roots, _weights, dunkl_a,
                        dunkl_b, dunkl_d0)
 from jack4.poly import _HADAMARD, SparsePoly, _accumulate, is_x_frame, x_frame
 
@@ -408,7 +408,7 @@ def triangular_nsjp(alpha, ctx) -> SparsePoly:
             coeffs[m] = value
             value /= scale
             for i, acc in running.items():
-                for exp, c in _memo(("U", i), frame, nvars, ctx)[m].items():
+                for exp, c in _memo(("U", i), frame, nvars, ctx, _image)[m].items():
                     _accumulate(acc, exp, value * c)
     return SparsePoly._of(nvars, frame, coeffs)
 

@@ -132,12 +132,9 @@ def test_gamma_norm_examples(ctx_each_pair):
 
 
 def test_kappa_prime_free_values_are_shared(ctx):
-    # p_gamma y0^n, gamma_norm, j_lambda and F^s_lambda depend on kappa only:
+    # gamma_norm, j_lambda and F^s_lambda depend on kappa only:
     # one memo entry serves every kappa_prime
     other = make_context(ctx.kappa, ctx.kappa_prime + 1, 3)
-    label = BasisLabel((1, 0, 2), 1)
-    assert basis_poly4(label, other) is basis_poly4(label, ctx)
-    assert basis_poly4(BasisLabel([1, 0, 2], 1), ctx) is basis_poly4(label, ctx)
     assert gamma_norm((1, 0, 2), other) is gamma_norm((1, 0, 2), ctx)
     assert symmetric_jack((2, 1, 0), other) is symmetric_jack((2, 1, 0), ctx)
     for s in (0, 1):

@@ -419,3 +419,39 @@ def test_help_is_stable_and_names_every_command(capsys, monkeypatch):
         assert run(capsys, *argv) == (0, out, ""), argv
         if argv == ("--help",):
             assert all(cmd in out for cmd in cli._COMMANDS)
+
+
+def test_tracer_installs_and_restores_every_binding(monkeypatch):
+    """The per-layer tracer of ``perfbench/tracing.py`` wraps jack4's public
+    functions by name.  With every module of the CLI loaded, it installs
+    without error, and uninstalling puts back every binding of every jack4
+    module, of SparsePoly and of the Fraction operators, so a refactor that
+    drops a traced name fails here."""
+    import importlib
+    from fractions import Fraction
+
+    from jack4.poly import SparsePoly
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+
+    def bindings():
+        found = {(name, attr): value for name, module in sys.modules.items()
+                 if name == "jack4" or name.startswith("jack4.")
+                 for attr, value in vars(module).items()}
+        found.update({("SparsePoly", attr): value for attr, value in vars(SparsePoly).items()})
+        found.update({("Fraction", op): getattr(Fraction, op) for op in tracing.RATIONAL_OPS})
+        return found
+
+    before = bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        changed = {key for key, value in bindings().items() if value is not before[key]}
+    finally:
+        tracer.uninstall()
+    after = bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    assert {("jack4.cli", "main"), ("jack4.jack", "nsjp"), ("SparsePoly", "__init__"),
+            ("Fraction", "__add__")} <= changed

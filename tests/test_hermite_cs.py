@@ -5,6 +5,7 @@ import pytest
 
 from jack4 import combin
 from jack4.basis4 import BasisLabel, basis_poly4
+from jack4.exact import make_context
 from jack4.hermite_cs import (
     conjugated_hamiltonian,
     cs_invariant_eigenfunction,
@@ -169,6 +170,42 @@ def test_operator_identities(ctx_each_pair):
     for rep in reports:
         assert rep.ok, (rep.name, rep.failures[:3])
         assert rep.checked > 0
+
+
+def test_operator_identities_hold_for_every_kappa_and_kappa_prime():
+    """The identities suite at degree d = 3 on a 9 x 9 grid of (kappa, kappa')
+    proves the identities for all parameters, on every monomial of degree <= d.
+
+    Applied to a monomial of degree <= d, each side of each identity is a
+    polynomial whose coefficients are polynomials in kappa and kappa':
+    - the kernel enters the parameters only through its weights (1, kappa,
+      kappa'), so each image of D_p, U_p or D0 y0 - kappa' sigma_0 is affine
+      in them, and each Laplacian image has degree <= 2;
+    - exp(+-Delta/2) on a polynomial of degree <= d is a series of at most
+      floor(d/2) Laplacians, so it adds at most d to the degree in the
+      parameters, and a conjugation exp(-Delta/2) op exp(Delta/2) has degree
+      <= 2d + 1;
+    - each right-hand side has degree <= 2: -Delta_B + E + (6 kappa + 3),
+      the conjugated Hamiltonian, a termwise D0^2, an affine eigenvalue.
+
+    So each coefficient of LHS - RHS has degree <= D = 2d + 2 = 8 in each
+    parameter.  A polynomial of degree <= D in each of two variables that
+    vanishes on a (D + 1) x (D + 1) grid of distinct values is zero.  The grid
+    avoids kappa' = 0, where ``dunkl_prime`` branches; its 81 points are 81
+    parameter groups of the memo, which keeps 16, so the run also goes
+    through eviction."""
+    d = 3
+    size = 2 * d + 3
+    kappas = [Fraction(i, 3) for i in range(1, size + 1)]
+    kappa_primes = [Fraction(2 * i - 1, 4) for i in range(1, size + 1)]
+    assert len(set(kappas)) == len(set(kappa_primes)) == size
+    y3, y0, y4 = (len(list(combin.compositions_up_to(d, n))) for n in (3, 1, 4))
+    for kappa in kappas:
+        for kp in kappa_primes:
+            reports = operator_identities_check(make_context(kappa, kp, 3), d)
+            assert [r.checked for r in reports] == [y3, y0, y0, y0, y4]
+            for rep in reports:
+                assert rep.ok, (kappa, kp, rep.name, rep.failures[:3])
 
 
 def test_d0y0_eigen_values(ctx_each_pair):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jack4 import combin, ops
+from jack4 import combin, jack, ops
 from jack4.basis4 import gamma_norm, invariant_F
 from jack4.exact import make_context
 from jack4.jack import (
@@ -127,21 +127,40 @@ def clear_jack4_caches():
 def test_cache_reset_reaches_the_memo(ctx):
     first = nsjp((2, 1, 0), ctx)
     norm = gamma_norm((1, 0, 2), ctx)
-    key = ("gamma_norm", "y3", 3, ctx.kappa.as_integer_ratio())
-    assert ops._MEMO_CACHE[key][(1, 0, 2)] is norm
+    params = ctx.kappa.as_integer_ratio()
+    key, f_key = ("gamma_norm", "y3", 3), ("invariant_F", "y3", 3)
+    assert ops._MEMO_CACHE[params][key][(1, 0, 2)] is norm
     record = invariant_F((1, 1, 0), 1, ctx)
-    f_key = ("invariant_F", "y3", 3, ctx.kappa.as_integer_ratio())
-    assert ops._MEMO_CACHE[f_key][(1, 1, 0), 1] is record
+    assert ops._MEMO_CACHE[params][f_key][(1, 1, 0), 1] is record
     clear_jack4_caches()
     assert not ops._MEMO_CACHE
     second = nsjp((2, 1, 0), ctx)
     assert second is not first
     assert second == first
     assert gamma_norm((1, 0, 2), ctx) == norm
-    assert ops._MEMO_CACHE[key] == {(1, 0, 2): norm}
+    assert ops._MEMO_CACHE[params][key] == {(1, 0, 2): norm}
     again = invariant_F((1, 1, 0), 1, ctx)
     assert again is not record and again == record
-    assert ops._MEMO_CACHE[f_key] == {((1, 1, 0), 1): again}
+    assert ops._MEMO_CACHE[params][f_key] == {((1, 1, 0), 1): again}
+
+
+def test_yang_baxter_steps_do_not_call_nsjp_again(monkeypatch):
+    """The per-layer tracer counts nsjp requests by rebinding the module name
+    jack.nsjp to a counting wrapper.  A cold zeta_(0,0,3) is one request: its
+    seven ancestors along the Yang-Baxter graph come from the memo entry, not
+    through that name."""
+    ops._MEMO_CACHE.clear()
+    calls = []
+    build = jack.nsjp
+
+    def counting(alpha, ctx):
+        calls.append(alpha)
+        return build(alpha, ctx)
+
+    monkeypatch.setattr(jack, "nsjp", counting)
+    record = jack.nsjp((0, 0, 3), make_context(Fraction(1, 2), 0, 3))
+    assert calls == [(0, 0, 3)]
+    assert record.poly.terms[0, 0, 3] == 1 and len(record.poly.terms) > 1
 
 
 def test_nsjp_validation():

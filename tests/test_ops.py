@@ -405,10 +405,11 @@ def test_laplacian_dispatch(ctx):
 
 # ---------------------------------------------------------------- memoized operators
 #
-# The operators read monomial images from one memo keyed by (operator, frame,
-# nvars, kappa), with kappa_prime added in y0 and y4.  Their compositional
-# definitions are computed cold at each parameter pair; the memoized side
-# runs warm across all the pairs, so a key missing a parameter shows.
+# The operators read monomial images from one memo, keyed by (operator, frame,
+# nvars) in the parameter group of kappa, with kappa_prime added in y0 and
+# y4.  Their compositional definitions are computed cold at each parameter
+# pair; the memoized side runs warm across all the pairs, so a key missing a
+# parameter shows.
 
 
 def reflection(f, p, q, s):
@@ -526,14 +527,61 @@ def test_integer_images_match_fraction_kernel():
             zeta = nsjp(alpha, ctx).poly
             for i, xi in enumerate(oracle_spectral_vector(alpha, ctx)):
                 assert fraction_operator(("U", i), zeta, ctx) == xi * zeta, (alpha, i)
-    for key, entry in ops._MEMO_CACHE.items():
-        if isinstance(key[0], tuple):
-            assert all(type(c) is int for image in entry.values() for c in image.values()), key
+    for params, group in ops._MEMO_CACHE.items():
+        for key, entry in group.items():
+            if isinstance(key[0], tuple):
+                assert all(type(c) is int for image in entry.values()
+                           for c in image.values()), (params, key)
 
 
 def test_euler():
     f = SparsePoly(3, "y3", {(2, 1, 0): 1, (0, 0, 0): 7})
     assert euler(f) == SparsePoly(3, "y3", {(2, 1, 0): 3})
+
+
+SWEEP_SUITES = ("prop1", "prop2", "jack", "eigen", "spectrum", "f1-norm")
+
+
+def sweep_reports(kappa, kappa_prime, degree=2):
+    ctx = make_context(kappa, kappa_prime, 3)
+    return [verify.run_suite(suite, ctx, degree).to_json() for suite in SWEEP_SUITES]
+
+
+def test_memo_drops_the_oldest_group_and_recomputes_it_alike():
+    """Each point of the sweep makes two parameter groups, kappa and
+    (kappa, kappa'), so ten points make 20 groups: the memo keeps the 16
+    newest, and the first point, visited again after its groups were
+    dropped, gives the reports it gave from an empty memo."""
+    clear_memo()
+    points = [(Fraction(p, 7), Fraction(p, 5)) for p in range(1, 11)]
+    first = sweep_reports(*points[0])
+    for point in points[1:]:
+        sweep_reports(*point)
+    assert len(ops._MEMO_CACHE) == ops._MEMO_GROUPS == 16
+    assert (1, 7) not in ops._MEMO_CACHE and (1, 7, 1, 5) not in ops._MEMO_CACHE
+    assert sweep_reports(*points[0]) == first
+    assert all(report["ok"] for report in first)
+
+
+def test_certification_grid_fits_in_the_memo(monkeypatch):
+    """prop1, prop2, jack and f1-norm over the 4 x 2 certification grid make
+    12 parameter groups, and the memo drops none of them: it ends with the
+    operator images and monomial pairings of a memo that never drops one."""
+
+    def grid_memo():
+        clear_memo()
+        for kappa in KAPPAS:
+            for kp in (Fraction(1, 2), Fraction(2)):
+                for suite in ("prop1", "prop2", "jack", "f1-norm"):
+                    verify.run_suite(suite, make_context(kappa, kp, 3), 3)
+        return {(params, key): len(entry)
+                for params, group in ops._MEMO_CACHE.items() for key, entry in group.items()}
+
+    bounded = grid_memo()
+    monkeypatch.setattr(ops, "_MEMO_GROUPS", 10**6)
+    assert bounded == grid_memo()
+    assert len(ops._MEMO_CACHE) == 12
+    assert {key[1][0] for key in bounded} >= {("D", 0), "pair"}
 
 
 # ---------------------------------------------------------------- pairings
