@@ -354,12 +354,16 @@ def _cmd_mc_check(args) -> int:
         ("<H[y0^2],H[y0^2]>", BasisLabel((0, 0, 0), 2), BasisLabel((0, 0, 0), 2)),
         ("<H[p_200],H[p_200]>", BasisLabel((2, 0, 0), 0), BasisLabel((2, 0, 0), 0)),
     ]
-    images = []
-    exacts = []
+    # each distinct label's image and pre-image are built once, so a label
+    # shared by several pairs is one object: evaluated once per Monte Carlo
+    # tile, and paired through one dual vector when both sides are the same
+    built = {}
     for _, la, lb in pairs:
-        fa = hermite_basis(la, ctx).poly
-        images.append((fa, fa if la == lb else hermite_basis(lb, ctx).poly))
-        exacts.append(pairing_extended(basis_poly4(la, ctx), basis_poly4(lb, ctx), ctx))
+        for label in (la, lb):
+            if label not in built:
+                built[label] = (hermite_basis(label, ctx).poly, basis_poly4(label, ctx))
+    images = [(built[la][0], built[lb][0]) for _, la, lb in pairs]
+    exacts = [pairing_extended(built[la][1], built[lb][1], ctx) for _, la, lb in pairs]
     estimates = mc_inner_products(images, cfg)
     for (name, _, _), exact, (est, se) in zip(pairs, exacts, estimates):
         checks.append(mc_report(name, cfg, est, se, exact))

@@ -15,14 +15,18 @@ integrated against it.  ``mc_inner_product`` is its one-pair case.  The
 seeds depend only on (seed, batch index), so a pair gets the same bits
 whether it is estimated alone or together with others.
 
-A batch is held column-major: one contiguous array per coordinate, which
-the weights and the polynomial terms read without strides.  The generator
-fills blocks of rows, the same stream as one (m, 4) draw, and each block is
-copied in transposed; the centre is ((x0 + x1) + x2) + x3.  The weight, each
-term and each product are computed in place, in arrays allocated once per
-call and reused by every batch and pair.  Every float operation is the one
-the (m, 4) layout made, in the same order, so the estimates are the same
-bits; ``tests/oracles.py`` keeps that row-major route to compare against.
+A batch is never held whole.  numpy sums n floats pairwise: it halves n,
+rounds the half down to a multiple of 8, and recurses (Higham 1993).  The
+batch is worked through in tiles, the leaves of that tree once it reaches
+nodes of at most _DRAW_ROWS points.  The generator fills a tile's rows, the
+next stretch of the stream of one (m, 4) draw, and they are copied in
+transposed, one contiguous array per coordinate; the centre is
+((x0 + x1) + x2) + x3.  The weight, each distinct polynomial and each
+product are computed in place, in tile arrays allocated once per call, and
+a pair keeps only its tile sums, which are added up along the tree.  Every
+float operation is the one the (m, 4) layout made, and every sum has the
+same tree, so the estimates are the same bits; ``tests/oracles.py`` keeps
+that row-major route to compare against.
 
 numpy loads on the first estimate, not with this module: the constant, the
 Selberg product and ``McConfig`` need only ``math``, so a process that never
@@ -41,7 +45,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 _BATCH = 1 << 17
-_DRAW_ROWS = 1 << 13  # points per call of the generator
+_DRAW_ROWS = 1 << 13  # most points in a tile, drawn in one call of the generator
 _ROOTS = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
@@ -94,28 +98,36 @@ def _as_x_frame(f: SparsePoly) -> SparsePoly:
     raise ValueError(f"expected an x4 or y4 polynomial, got frame {f.frame!r}")
 
 
-def _compile(f: SparsePoly):
+def _compile(f: SparsePoly) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+    """f as (coef, ((v, e), ...)) per term, in canonical order (which fixes
+    the float summation order), with the nonzero exponents e of variables v
+    as plain ints."""
+    return [(float(c), tuple((v, e) for v, e in enumerate(exp) if e))
+            for exp, c in f.ordered_terms()]
+
+
+def _pairwise_sums(n: int, tile) -> list[float]:
+    """Sums of n values, added up as numpy sums an array pairwise: it halves
+    n, rounds the half down to a multiple of 8, and recurses.  Here the
+    recursion stops at tiles of at most _DRAW_ROWS values, and ``tile(t)``
+    returns numpy's sums of the next t values, several at once; adding them
+    up along the same tree gives each sum as numpy would over all n."""
+    if n <= _DRAW_ROWS:
+        return tile(n)
+    half = n // 2
+    half -= half % 8
+    return [a + b for a, b in zip(_pairwise_sums(half, tile), _pairwise_sums(n - half, tile))]
+
+
+def _draw(rng, block: np.ndarray, x: np.ndarray, sums: np.ndarray) -> None:
+    """Fill x, of shape (4, m), with the next m standard Gaussian points of
+    R^4, x[v] being coordinate v of every point: the generator fills
+    ``block``, m rows of 4, and it is copied in transposed.  ``sums`` gets
+    ((x0 + x1) + x2) + x3, the order in which numpy sums a row of 4."""
     import numpy as np
 
-    terms = f.ordered_terms()  # canonical order fixes the float summation order
-    exps = np.array([e for e, _ in terms], dtype=np.int64)
-    coefs = np.array([float(c) for _, c in terms])
-    return exps, coefs
-
-
-def _draw(rng, x: np.ndarray, sums: np.ndarray) -> None:
-    """Fill x, of shape (4, m), with m standard Gaussian points of R^4, x[v]
-    being coordinate v of every point, block by block of rows: the bits of
-    one (m, 4) draw.  ``sums`` gets ((x0 + x1) + x2) + x3, the order in which
-    numpy sums a row of the (m, 4) draw."""
-    import numpy as np
-
-    m = x.shape[1]
-    block = np.empty((min(_DRAW_ROWS, m), 4))
-    for start in range(0, m, len(block)):
-        rows = block[: min(len(block), m - start)]
-        rng.standard_normal(out=rows)
-        x[:, start:start + len(rows)] = rows.T
+    rng.standard_normal(out=block)
+    x[...] = block.T
     np.add(x[0], x[1], out=sums)
     sums += x[2]
     sums += x[3]
@@ -147,38 +159,18 @@ def _eval_compiled(compiled, x: np.ndarray, out: np.ndarray, term, power) -> Non
     ones.  ``term`` and ``power`` are overwritten."""
     import numpy as np
 
-    exps, coefs = compiled
     out.fill(0.0)
-    for exp, coef in zip(exps, coefs):
-        started = False
-        for v, e in enumerate(exp):
-            if not e:
-                continue
+    for coef, factors in compiled:
+        if not factors:
+            out += coef
+            continue
+        for k, (v, e) in enumerate(factors):
             p = x[v] if e == 1 else np.power(x[v], e, out=power)
-            if started:
+            if k:
                 term *= p
             else:
                 np.multiply(coef, p, out=term)
-                started = True
-        out += term if started else coef
-
-
-def _weighted_product(weight: np.ndarray, cf, cg, x: np.ndarray, work) -> np.ndarray:
-    """weight * f(x) * g(x) in one row of ``work``, four arrays like weight
-    that hold f, g, a term and a power; f is evaluated only once when g is
-    f."""
-    import numpy as np
-
-    f, g, term, power = work
-    _eval_compiled(cf, x, f, term, power)
-    if cg is cf:
-        np.multiply(weight, f, out=g)
-        g *= f
-        return g
-    f *= weight
-    _eval_compiled(cg, x, g, term, power)
-    f *= g
-    return f
+        out += term
 
 
 def mc_inner_products(
@@ -190,32 +182,43 @@ def mc_inner_products(
     Samples x from the standard Gaussian and reweights by c * h(x)^2; returns
     one (estimate, standard_error) per pair.  Batches use seeds derived from
     (seed, batch index), so the result is reproducible and independent of
-    scheduling.  Each batch is drawn and weighted once and then integrated
-    pair by pair; a pair's estimate is the same float as when it is the
-    only pair.  When g is f, the polynomial is compiled and evaluated once
-    per batch.  A pair's values are scaled by 2^-e, with e fixed by the
-    largest |value| of its first batch, so that their squares do not
-    underflow when the weight is tiny; the scaling is exact, and undone on
-    the mean and the standard error.
+    scheduling.  A batch is drawn, weighted and integrated tile by tile,
+    each tile being a leaf of numpy's pairwise-summation tree over the
+    batch, so that no array is longer than a tile.  In a tile each distinct
+    polynomial (by identity) is evaluated once, and each pair keeps only the
+    sum of its weighted products and the sum of their squares; the tile
+    sums are added up along the tree, which gives the batch sums numpy
+    would give, bit for bit.  A pair's estimate is the same float as when
+    it is the only pair.  A pair's values are scaled by 2^-e, with e fixed by
+    the largest |value| of its first tile where that is nonzero, so that
+    their squares do not underflow when the weight is tiny; the scaling is
+    exact, and undone on the mean and the standard error.
     """
     import numpy as np
 
-    compiled = []
+    polys: list = []
+    index: dict[int, int] = {}
+    pair_rows = []
     for f, g in pairs:
-        cf = _compile(_as_x_frame(f))
-        compiled.append((cf, cf if g is f else _compile(_as_x_frame(g))))
+        for h in (f, g):
+            if id(h) not in index:
+                index[id(h)] = len(polys)
+                polys.append(_compile(_as_x_frame(h)))
+        pair_rows.append((index[id(f)], index[id(g)]))
     c = normalization_constant(cfg.kappa, cfg.kappa_prime)
 
-    # One set of arrays for every batch; the work rows hold the sums and a
-    # root factor while the batch is drawn and weighted.
-    size = min(_BATCH, cfg.samples)
+    # One set of tile arrays for the whole call; the two work rows hold the
+    # sums and a root factor while a tile is weighted, a term and a power
+    # while the polynomials are evaluated, and then a pair's products.
+    size = min(_DRAW_ROWS, cfg.samples)
+    block = np.empty((size, 4))
     points = np.empty((4, size))
     weights = np.empty(size)
-    work = np.empty((4, size))
+    values = np.empty((len(polys), size))
+    work = np.empty((2, size))
 
-    total = [0.0] * len(compiled)
-    total_sq = [0.0] * len(compiled)
-    scale: list[int | None] = [None] * len(compiled)
+    totals = [0.0] * (2 * len(pair_rows))  # sum and sum of squares per pair
+    scale: list[int | None] = [None] * len(pair_rows)
     done = 0
     batch_index = 0
     while done < cfg.samples:
@@ -223,23 +226,36 @@ def mc_inner_products(
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(batch_index,))
         )
-        x, weight, rows = points[:, :m], weights[:m], work[:, :m]
-        _draw(rng, x, rows[0])
-        _weigh(weight, c, cfg, x, rows[0], rows[1])
-        for k, (cf, cg) in enumerate(compiled):
-            vals = _weighted_product(weight, cf, cg, x, rows)
-            if scale[k] is None:
-                scale[k] = math.frexp(max(float(vals.max()), -float(vals.min())))[1]
-            np.ldexp(vals, -scale[k], out=vals)
-            total[k] += float(vals.sum())
-            vals *= vals
-            total_sq[k] += float(vals.sum())
+
+        def tile(t: int) -> list[float]:
+            x, weight, (a, b) = points[:, :t], weights[:t], work[:, :t]
+            _draw(rng, block[:t], x, a)
+            _weigh(weight, c, cfg, x, a, b)
+            for compiled, vals in zip(polys, values):
+                _eval_compiled(compiled, x, vals[:t], a, b)
+            sums = []
+            for k, (i, j) in enumerate(pair_rows):
+                np.multiply(weight, values[i, :t], out=a)
+                a *= values[j, :t]
+                if scale[k] is None:
+                    top = max(float(a.max()), -float(a.min()))
+                    if top:
+                        scale[k] = math.frexp(top)[1]
+                if scale[k]:
+                    np.ldexp(a, -scale[k], out=a)
+                sums.append(float(a.sum()))
+                a *= a
+                sums.append(float(a.sum()))
+            return sums
+
+        totals = [t + s for t, s in zip(totals, _pairwise_sums(m, tile))]
         done += m
         batch_index += 1
 
     n = cfg.samples
     results = []
-    for t, t_sq, e in zip(total, total_sq, scale):
+    for t, t_sq, e in zip(totals[::2], totals[1::2], scale):
+        e = e or 0  # None: every value was 0, and none was scaled
         mean = t / n
         variance = max(0.0, (t_sq - n * mean * mean) / (n - 1))
         results.append((math.ldexp(mean, e), math.ldexp(math.sqrt(variance / n), e)))

@@ -25,7 +25,7 @@ from jack4 import combin, verify
 from jack4.basis4 import basis_poly4, decompose_label
 from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
 from jack4.exact import format_rational
-from jack4.measure import _BATCH, _as_x_frame, _compile, normalization_constant
+from jack4.measure import _BATCH, _as_x_frame, normalization_constant
 from jack4.ops import (Dual, _apply, _image, _memo, _quotient, _reflect, _roots, _weights, dunkl_a,
                        dunkl_b, dunkl_d0)
 from jack4.poly import _HADAMARD, SparsePoly, _accumulate, is_x_frame, x_frame
@@ -416,6 +416,17 @@ def triangular_nsjp(alpha, ctx) -> SparsePoly:
 # ---------------------------------------------------------------------- Monte Carlo
 
 
+def _row_major_compile(f):
+    """f's exponents as an int64 array and its coefficients as floats, in
+    canonical order."""
+    import numpy as np
+
+    terms = f.ordered_terms()
+    exps = np.array([e for e, _ in terms], dtype=np.int64)
+    coefs = np.array([float(c) for _, c in terms])
+    return exps, coefs
+
+
 def _row_major_eval(compiled, x):
     """f at the rows of x, one np.full term at a time, with strided powers."""
     import numpy as np
@@ -446,8 +457,8 @@ def row_major_mc_inner_products(pairs, cfg) -> list[tuple[float, float]]:
 
     compiled = []
     for f, g in pairs:
-        cf = _compile(_as_x_frame(f))
-        compiled.append((cf, cf if g is f else _compile(_as_x_frame(g))))
+        cf = _row_major_compile(_as_x_frame(f))
+        compiled.append((cf, cf if g is f else _row_major_compile(_as_x_frame(g))))
     c = normalization_constant(cfg.kappa, cfg.kappa_prime)
     roots = [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
