@@ -16,7 +16,8 @@ The Cherednik operators of the same tables are U_p f = D_p(v_p f) - kappa *
 (sum of s_alpha f over the roots (q, s) of row p with q < p): U_i for A_{N-1}
 and UB_i for D3.  The y-frame Laplacians are sums of D_p^2 over the positions
 of named coordinates.  The Dunkl operators of the extended group keep their
-x4 definition, D'_i f = D_i f + (kappa_prime / (2 y_0)) (f - f sigma_0).
+x4 definition, D'_i f = D_i f + S f with the sign term
+S f = (kappa_prime / (2 y_0)) (f - f sigma_0), which does not depend on i.
 
 D_p, U_p and these Laplacians are linear and graded, so each is applied to f
 as the sum of c times its image of v^exp over the terms c v^exp of f.  Each
@@ -251,24 +252,27 @@ def dunkl_d0(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     return _apply(("D", position(f.frame, "y0")), f, ctx)
 
 
-def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
-    """Dunkl operator D'_i of the extended reflection group, in the x4 frame.
+def _sign_term(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    """S f = (kappa_prime / (2 y_0)) (f - f sigma_0) on x4, the y_0-root term
+    of every D'_i.  f - f sigma_0 is twice the part of to_y(f) odd in y_0,
+    which is divided by y_0 termwise there and brought back by one to_x.  S
+    is linear, and zero, with no change of coordinates, at kappa_prime = 0."""
+    if not ctx.kappa_prime:
+        return SparsePoly.zero(4, f.frame)
+    odd = {
+        (exp[0] - 1,) + exp[1:]: c * ctx.kappa_prime
+        for exp, c in to_y(f).terms.items()
+        if exp[0] % 2
+    }
+    return to_x(SparsePoly._of(4, Y4, odd))
 
-    The sign-change part goes through y4 once: f - f sigma_0 is twice the
-    part of to_y(f) odd in y_0, which is divided by y_0 termwise there and
-    brought back by one to_x.
-    """
+
+def dunkl_prime(i: int, f: SparsePoly, ctx: ParamContext) -> SparsePoly:
+    """Dunkl operator D'_i = D_i + S of the extended reflection group, in the
+    x4 frame: the type-A D_i plus the sign term S of :func:`_sign_term`."""
     if f.frame != "x4":
         raise ValueError(f"dunkl_prime needs the x4 frame, got {f.frame!r}")
-    out = _apply(("D", position(f.frame, f"x{i}")), f, ctx)
-    if ctx.kappa_prime:
-        odd = {
-            (exp[0] - 1,) + exp[1:]: c * ctx.kappa_prime
-            for exp, c in to_y(f).terms.items()
-            if exp[0] % 2
-        }
-        out = out + to_x(SparsePoly._of(4, Y4, odd))
-    return out
+    return dunkl_a(i, f, ctx) + _sign_term(f, ctx)
 
 
 # ---------------------------------------------------------------------- Laplacians, Euler
@@ -300,15 +304,24 @@ def d0_squared(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 def laplacian_h(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
     """Delta_h = sum_{i=1..4} D'_i^2 = Delta_B + D0^2.
 
-    Computed through D'_i in the x4 frame (the definition) and as
-    D0^2 + DB_1^2 + DB_2^2 + DB_3^2 in the y4 frame; the two routes agree
-    and are cross-tested.
+    In the x4 frame it is computed from the definition, D'_i = D_i + S with
+    the type-A D_i and the sign term S (:func:`_sign_term`).  S does not
+    depend on i and is linear, so with g_i = D_i f + S f,
+
+        Delta_h f = sum_i (D_i + S) g_i = sum_i D_i g_i + S(sum_i g_i),
+
+    two sign terms in place of eight.  In the y4 frame it is
+    D0^2 + DB_1^2 + DB_2^2 + DB_3^2; the two routes agree and are
+    cross-tested.
     """
     if f.frame == "x4":
-        out = SparsePoly.zero(4, f.frame)
+        sf = _sign_term(f, ctx)
+        out = total = SparsePoly.zero(4, f.frame)
         for i in (1, 2, 3, 4):
-            out = out + dunkl_prime(i, dunkl_prime(i, f, ctx), ctx)
-        return out
+            g = dunkl_a(i, f, ctx) + sf
+            total = total + g
+            out = out + dunkl_a(i, g, ctx)
+        return out + _sign_term(total, ctx)
     return _laplacian("H", f, ctx)
 
 

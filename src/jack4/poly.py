@@ -377,14 +377,17 @@ def substitute_linear(f: SparsePoly, forms: list[SparsePoly]) -> SparsePoly:
     return out
 
 
-def _pair_weights(a: int, b: int) -> list[int]:
-    """Coefficients of t^k in (1 + t)^a (1 - t)^b, k = 0..a+b."""
+@lru_cache(maxsize=None)
+def _pair_weights(a: int, b: int) -> tuple:
+    """The butterfly v_p^a v_q^b -> (z_p + z_q)^a (z_p - z_q)^b as the
+    triples (a + b - k, k, w_k) with w_k != 0, w_k the coefficient of t^k in
+    (1 + t)^a (1 - t)^b."""
     w = [1]
     for _ in range(a):
         w = [p + q for p, q in zip(w + [0], [0] + w)]
     for _ in range(b):
         w = [p - q for p, q in zip(w + [0], [0] + w)]
-    return w
+    return tuple((a + b - k, k, wk) for k, wk in enumerate(w) if wk)
 
 
 def _hadamard_change(f: SparsePoly, dst_frame: str) -> SparsePoly:
@@ -394,30 +397,28 @@ def _hadamard_change(f: SparsePoly, dst_frame: str) -> SparsePoly:
     With H = (H2 (x) H2) P, P swapping coordinates 1 and 2, the substitution
     is two butterfly stages -- v_p -> z_p + z_q, v_q -> z_p - z_q on the
     pairs (0, 1), (2, 3) and then (0, 2), (1, 3) -- a swap of the exponents
-    of z_1 and z_2, and a factor 2^-deg per monomial.  The stages run on
-    integer numerators over a common denominator, so each output coefficient
-    costs one Fraction at the end.
+    of z_1 and z_2, and a factor 2^-deg per monomial.  Each stage takes its
+    two pairs at once, as the product of their butterflies; the second reads
+    the exponents of v_1 and v_2 swapped, so it writes z_1 and z_2 in their
+    final places.  The stages run on integer numerators over a common
+    denominator, so each output coefficient costs one Fraction at the end.
     """
     den, terms = _integer_form(f)
-    weights: dict[tuple[int, int], list[int]] = {}
-    for p, q in ((0, 1), (2, 3), (0, 2), (1, 3)):
+    for swap in (False, True):
         out: dict[tuple[int, ...], int] = {}
-        for exp, n in terms.items():
-            a, b = exp[p], exp[q]
-            w = weights.get((a, b))
-            if w is None:
-                w = weights[a, b] = _pair_weights(a, b)
-            e = list(exp)
-            for k, wk in enumerate(w):
-                if wk:
-                    e[p] = a + b - k
-                    e[q] = k
-                    _accumulate(out, tuple(e), n * wk)
-        terms = out
+        get = out.get
+        for (e0, e1, e2, e3), n in terms.items():
+            if swap:
+                e1, e2 = e2, e1
+            right = _pair_weights(e2, e3)
+            for u0, u1, w in _pair_weights(e0, e1):
+                nw = n * w
+                for u2, u3, v in right:
+                    key = (u0, u1, u2, u3)
+                    out[key] = get(key, 0) + nw * v
+        terms = {e: n for e, n in out.items() if n}
     return SparsePoly._of(
-        4,
-        dst_frame,
-        {(e[0], e[2], e[1], e[3]): Fraction(n, den << sum(e)) for e, n in terms.items()},
+        4, dst_frame, {e: Fraction(n, den << sum(e)) for e, n in terms.items()}
     )
 
 

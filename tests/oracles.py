@@ -6,7 +6,8 @@ dominance order that the canonical order refines, the Fraction products of
 the closed forms and of the norms built from them for their integer
 versions, the linear forms of the half-Hadamard change for the butterflies,
 the y0 split for the tensor form of the extended pairing, the Fraction
-kernel of the operators for their integer images, and the Fraction
+kernel of the operators for their integer images, the eight D'_i of the
+x4 Laplacian for its two sign terms, and the Fraction
 recursion of the monomial pairing for the integer pairing and its dual
 vectors, the visit of every pair for the block-diagonal Gram checks, the
 Fraction Gram entries of fresh dual vectors for the integer ones of kept
@@ -27,7 +28,7 @@ from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
 from jack4.exact import format_rational
 from jack4.measure import _BATCH, _as_x_frame, normalization_constant
 from jack4.ops import (Dual, _apply, _image, _memo, _quotient, _reflect, _roots, _weights, dunkl_a,
-                       dunkl_b, dunkl_d0)
+                       dunkl_b, dunkl_d0, dunkl_prime)
 from jack4.poly import _HADAMARD, SparsePoly, _accumulate, is_x_frame, x_frame
 
 # ---------------------------------------------------------------------- permutations
@@ -236,6 +237,15 @@ def fraction_operator(op, f: SparsePoly, ctx) -> SparsePoly:
                     e2, sign = _reflect(exp, arg, q, s)
                     _accumulate(acc, e2, -sign * ctx.kappa * c)
     return SparsePoly(f.nvars, f.frame, acc)
+
+
+def laplacian_h_by_dunkl_prime(f: SparsePoly, ctx) -> SparsePoly:
+    """Delta_h f = sum_i D'_i D'_i f on x4 by the definition, eight
+    ``dunkl_prime`` calls and so eight sign terms."""
+    out = SparsePoly.zero(4, "x4")
+    for i in (1, 2, 3, 4):
+        out = out + dunkl_prime(i, dunkl_prime(i, f, ctx), ctx)
+    return out
 
 
 # ---------------------------------------------------------------------- pairings

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from jack4 import combin, ops, verify
+from jack4 import combin, ops, poly, verify
 from jack4.basis4 import basis_poly, basis_poly4
 from jack4.exact import make_context
 from jack4.jack import nsjp
@@ -26,7 +26,8 @@ from jack4.ops import (
     pairing_kappa,
 )
 from jack4.poly import SparsePoly, substitute_linear, to_x, to_y, var_names
-from oracles import dominates, fraction_operator, pairing_by_fractions, split_y0, upper_pairings
+from oracles import (dominates, fraction_operator, laplacian_h_by_dunkl_prime, pairing_by_fractions,
+                     split_y0, upper_pairings)
 from oracles import spectral_vector as oracle_spectral_vector
 
 KAPPAS = (Fraction(1, 2), Fraction(1), Fraction(3), Fraction(5, 7))
@@ -362,6 +363,20 @@ def test_dunkl_prime_reductions():
     assert dunkl_prime(1, SparsePoly.one(4, "x4"), ctx).is_zero()
 
 
+def test_dunkl_prime_is_dunkl_a_plus_the_sign_term(ctx_each_pair):
+    """D'_i f = D_i f + S f with S f = (kappa' / (2 y_0)) (f - f sigma_0), one
+    S for every i.  In y4, D0 - d/dy_0 = (kappa' / y_0)(1 - sigma_0) = 2 S, and
+    d/dy_0 is D0 at kappa' = 0."""
+    ctx = ctx_each_pair
+    ctx0 = make_context(ctx.kappa, 0, 3)
+    for exp in combin.compositions_up_to(3, 4):
+        f = SparsePoly.monomial(exp, "x4")
+        g = to_y(f)
+        sign_term = Fraction(1, 2) * to_x(dunkl_d0(g, ctx) - dunkl_d0(g, ctx0))
+        for i in (1, 2, 3, 4):
+            assert dunkl_prime(i, f, ctx) == dunkl_a(i, f, ctx) + sign_term
+
+
 def test_d0_is_half_sum_of_primes(ctx_each_pair):
     ctx = ctx_each_pair
     for exp in combin.compositions_up_to(3, 4):
@@ -392,6 +407,37 @@ def test_laplacian_h_frame_consistency(ctx_each_pair):
     for exp in combin.compositions_up_to(3, 4):
         f = SparsePoly.monomial(exp, "x4")
         assert to_y(laplacian_h(f, ctx)) == laplacian_h(to_y(f), ctx)
+
+
+@pytest.mark.parametrize("kappa, kappa_prime", PARAM_PAIRS + ((Fraction(1, 2), Fraction(0)),))
+def test_laplacian_h_matches_eight_dunkl_primes(kappa, kappa_prime):
+    """laplacian_h on x4 takes two sign terms, sum_i D_i g_i + S(sum_i g_i)
+    with g_i = D_i f + S f; it equals sum_i D'_i D'_i f, eight sign terms, on
+    every monomial of degree <= 4 and on x4 images of y4 polynomials with
+    terms odd and even in y_0.  At kappa' = 0 the sign term vanishes."""
+    ctx = make_context(kappa, kappa_prime, 3)
+    inputs = [SparsePoly.monomial(exp, "x4") for exp in combin.compositions_up_to(4, 4)]
+    inputs += [to_x(SparsePoly(4, "y4", terms)) for terms in (
+        {(2, 1, 0, 0): 1, (0, 0, 2, 0): Fraction(1, 3)},
+        {(1, 0, 0, 1): 2, (3, 0, 1, 0): Fraction(-1, 5), (0, 1, 1, 1): 1},
+        {(1, 2, 0, 0): Fraction(1, 2), (0, 0, 0, 2): 1, (1, 0, 0, 0): 3, (4, 0, 0, 0): -2},
+    )]
+    for f in inputs:
+        assert laplacian_h(f, ctx) == laplacian_h_by_dunkl_prime(f, ctx)
+
+
+@pytest.mark.parametrize("kappa_prime, changes", [(Fraction(2), 4), (Fraction(0), 0)])
+def test_x4_laplacian_changes_coordinates_four_times(kappa_prime, changes, monkeypatch):
+    """laplacian_h on x4 makes four x4 <-> y4 changes, a to_y and a to_x for
+    each of S f and S(sum_i g_i); the eight D'_i of the definition would make
+    sixteen.  At kappa' = 0 S is zero and makes none."""
+    ctx = make_context(Fraction(1, 2), kappa_prime, 3)
+    f = to_x(SparsePoly(4, "y4", {(1, 2, 0, 0): 1, (2, 0, 1, 1): Fraction(1, 3)}))
+    calls = []
+    change = poly._hadamard_change
+    monkeypatch.setattr(poly, "_hadamard_change", lambda g, dst: calls.append(dst) or change(g, dst))
+    laplacian_h(f, ctx)
+    assert calls == ["y4", "x4"] * (changes // 2)
 
 
 def test_laplacian_dispatch(ctx):
