@@ -5,6 +5,9 @@ quantity against the corresponding closed form, and reports the count,
 the number of failures, and the first counterexample.  All comparisons are
 exact: any nonzero discrepancy is a failure.  The Gram checks of prop1 and
 prop2 compare integer ratios, from dual vectors kept per (label, kappa).
+prop2 and spectrum work on the A1 x D3 factors, y_0 apart from y_1..y_3, so
+no y4 product is built: spectrum checks each D3 factor once per gamma and
+each A1 factor once per n.
 """
 
 from __future__ import annotations
@@ -14,14 +17,10 @@ from fractions import Fraction
 from . import combin
 from .basis4 import BasisLabel, basis_norm, basis_poly, invariant_F
 from .exact import ParamContext, format_rational
-from .hermite_cs import (
-    conjugated_hamiltonian,
-    hermite_basis,
-    operator_identities_check,
-)
+from .hermite_cs import energy_level, exp_half_laplacian, operator_identities_check
 from .jack import jack_norm, nsjp, nsjp_eval_ones, symmetric_jack
-from .ops import Dual, _memo, cherednik_a, pairing_extended, pairing_kappa
-from .poly import SparsePoly, Y3, Y4, x_frame
+from .ops import Dual, _memo, cherednik_a, euler, laplacian, pairing_extended, pairing_kappa
+from .poly import SparsePoly, Y0, Y3, Y4, x_frame
 
 
 class SuiteReport:
@@ -209,17 +208,33 @@ def suite_jack(ctx: ParamContext, max_degree: int) -> SuiteReport:
 
 def suite_spectrum(ctx: ParamContext, max_degree: int) -> SuiteReport:
     """The conjugated Hamiltonian acts on each transformed basis element by
-    |gamma| + n + 6 kappa + kappa' + 2; levels depend only on total degree."""
+    |gamma| + n + 6 kappa + kappa' + 2; levels depend only on total degree.
+
+    The check runs on the A1 x D3 factors.  On y4 the conjugated Hamiltonian
+    is (-Delta_B + E) on y_1..y_3, plus (-D0^2 + E) on y_0, plus c = 6 kappa +
+    kappa' + 2, E the Euler operator, and the transformed element of (gamma,
+    n) is g h with g = exp(-Delta_B/2) p_gamma and h = exp(-D0^2/2) y_0^n.
+    So the eigen-equation at (gamma, n) follows from -Delta_B g + E g =
+    |gamma| g in y3, checked once per gamma, and -D0^2 h + E h = n h in y0,
+    checked once per n: a label passes if both of its factors pass.  On a
+    broken program the route through the y4 products may name a different
+    first failure."""
     rep = SuiteReport("spectrum", _params(ctx), max_degree)
+
+    def eigen(kind, f, energy):
+        g = exp_half_laplacian(kind, f, ctx)
+        return -laplacian(kind, g, ctx) + euler(g) == energy * g
+
+    d3 = {gamma: eigen("B", basis_poly(gamma, ctx), combin.weight(gamma))
+          for gamma in combin.compositions_up_to(max_degree, 3)}
+    a1 = [eigen("D0", SparsePoly.monomial((n,), Y0), n) for n in range(max_degree + 1)]
     by_degree: dict[int, set] = {}
     for lab in basis_labels_up_to(max_degree):
-        rec = hermite_basis(lab, ctx)
-        image = conjugated_hamiltonian(rec.poly, ctx)
         rep.record(
-            image == rec.energy * rec.poly,
+            d3[lab.gamma] and a1[lab.n],
             lambda l=lab: f"spectrum fails at gamma={l.gamma}, n={l.n}",
         )
-        by_degree.setdefault(combin.weight(lab.gamma) + lab.n, set()).add(rec.energy)
+        by_degree.setdefault(combin.weight(lab.gamma) + lab.n, set()).add(energy_level(lab, ctx))
     for degree, energies in sorted(by_degree.items()):
         rep.record(
             len(energies) == 1,

@@ -13,8 +13,10 @@ vectors, the visit of every pair for the block-diagonal Gram checks, the
 Fraction Gram entries of fresh dual vectors for the integer ones of kept
 dual vectors, the y4 Gram of the prop2 family for its A1 x D3
 factorization, the triangular eigen-solve for the Yang-Baxter construction
-of the nonsymmetric Jacks, and the row-major Monte Carlo batches for the
-column-major ones.
+of the nonsymmetric Jacks, the signed exp(+-Delta/2) series and the
+conjugation sandwich for the Hadamard-lemma route of the identities, the y4
+products of the spectrum for its A1 x D3 factors, and the row-major Monte
+Carlo batches for the column-major ones.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from jack4 import combin, verify
+from jack4 import combin, hermite_cs, verify
 from jack4.basis4 import basis_poly4, decompose_label
 from jack4.combin import comp_length, is_partition, leg_length, ranks, weight
 from jack4.exact import format_rational
 from jack4.measure import _BATCH, _as_x_frame, normalization_constant
-from jack4.ops import (Dual, _apply, _image, _memo, _quotient, _reflect, _roots, _weights, dunkl_a,
-                       dunkl_b, dunkl_d0, dunkl_prime)
-from jack4.poly import _HADAMARD, SparsePoly, _accumulate, is_x_frame, x_frame
+from jack4.ops import (Dual, _apply, _image, _memo, _quotient, _reflect, _roots, _weights, d0_squared,
+                       dunkl_a, dunkl_b, dunkl_d0, dunkl_prime, euler, laplacian, laplacian_b)
+from jack4.poly import _HADAMARD, Y0, Y3, Y4, SparsePoly, _accumulate, is_x_frame, x_frame
 
 # ---------------------------------------------------------------------- permutations
 
@@ -421,6 +423,80 @@ def triangular_nsjp(alpha, ctx) -> SparsePoly:
                 for exp, c in _memo(("U", i), frame, nvars, ctx, _image)[m].items():
                     _accumulate(acc, exp, value * c)
     return SparsePoly._of(nvars, frame, coeffs)
+
+
+# ---------------------------------------------------------------------- exp(+-Delta/2)
+
+
+def exp_series(kind: str, f: SparsePoly, ctx, sign: int) -> SparsePoly:
+    """exp(sign * Delta / 2) f for sign = +-1, as the terminating series
+    sum (sign/2)^n / n! Delta^n f of the Laplacian of the given kind."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    out = f
+    term = laplacian(kind, f, ctx)
+    n = 1
+    while not term.is_zero():
+        out = out + term * (Fraction(sign, 2) ** n / math.factorial(n))
+        term = laplacian(kind, term, ctx)
+        n += 1
+    return out
+
+
+def identities_by_sandwich(ctx, max_degree: int) -> list:
+    """``hermite_cs.operator_identities_check`` by the route the Hadamard
+    lemma replaced: each conjugation exp(-Delta/2) A exp(Delta/2) f expanded
+    through :func:`exp_series` on every monomial f and compared with its
+    right-hand side."""
+    y3 = [(f"monomial {e}", SparsePoly.monomial(e, Y3))
+          for e in combin.compositions_up_to(max_degree, 3)]
+    y0 = [(f"y0^{m}", SparsePoly.monomial((m,), Y0)) for m in range(max_degree + 1)]
+    y4 = [(f"monomial {e}", SparsePoly.monomial(e, Y4))
+          for e in combin.compositions_up_to(max_degree, 4)]
+
+    def conjugate(kind, op, f):
+        return exp_series(kind, op(exp_series(kind, f, ctx, 1)), ctx, -1)
+
+    def sum_b(g):
+        return hermite_cs._sum_cherednik_b(g, ctx)
+
+    def d0y0(g):
+        return hermite_cs._d0y0_minus_sigma(g, ctx)
+
+    identity = hermite_cs._identity
+    return [
+        identity("cherednik-sum-conjugation", y3, lambda f: (
+            conjugate("B", sum_b, f)
+            == -laplacian_b(f, ctx) + euler(f) + (6 * ctx.kappa + 3) * f)),
+        identity("d0y0-conjugation", y0, lambda f: (
+            conjugate("D0", d0y0, f)
+            == -d0_squared(f, ctx) + euler(f) + (ctx.kappa_prime + 1) * f)),
+        identity("d0-squared-decomposition", y0,
+                 lambda f: d0_squared(f, ctx) == hermite_cs._d0sq_termwise(f, ctx)),
+        identity("d0y0-eigenvalue", y0, lambda f: (
+            d0y0(f) == (f.degree() + 1 + ctx.kappa_prime) * f)),
+        identity("hamiltonian-conjugation", y4, lambda f: (
+            hermite_cs.conjugated_hamiltonian(f, ctx)
+            == conjugate("H", lambda g: sum_b(g) + d0y0(g) - 2 * g, f))),
+    ]
+
+
+def spectrum_in_y4(ctx, max_degree: int):
+    """``verify.suite_spectrum`` by the route the A1 x D3 factors replaced:
+    the conjugated Hamiltonian on each y4 product of ``hermite_basis``, whose
+    series runs once per (gamma, n)."""
+    rep = verify.SuiteReport("spectrum", verify._params(ctx), max_degree)
+    by_degree: dict = {}
+    for lab in verify.basis_labels_up_to(max_degree):
+        rec = hermite_cs.hermite_basis(lab, ctx)
+        image = hermite_cs.conjugated_hamiltonian(rec.poly, ctx)
+        rep.record(image == rec.energy * rec.poly,
+                   lambda l=lab: f"spectrum fails at gamma={l.gamma}, n={l.n}")
+        by_degree.setdefault(weight(lab.gamma) + lab.n, set()).add(rec.energy)
+    for degree, energies in sorted(by_degree.items()):
+        rep.record(len(energies) == 1,
+                   lambda d=degree: f"energy not constant across labels of degree {d}")
+    return rep
 
 
 # ---------------------------------------------------------------------- Monte Carlo

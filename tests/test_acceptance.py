@@ -107,9 +107,9 @@ def test_criterion_7_laguerre_identity():
         ctx = make_context(kappa, kp, 3)
         for n in range(5):
             scale = Fraction(-2) ** n * factorial(n)
-            even = exp_half_laplacian("D0", y0 ** (2 * n), ctx, -1)
+            even = exp_half_laplacian("D0", y0 ** (2 * n), ctx)
             ok = ok and even == scale * laguerre_y0sq(n, kp - Fraction(1, 2))
-            odd = exp_half_laplacian("D0", y0 ** (2 * n + 1), ctx, -1)
+            odd = exp_half_laplacian("D0", y0 ** (2 * n + 1), ctx)
             ok = ok and odd == scale * (y0 * laguerre_y0sq(n, kp + Fraction(1, 2)))
     _report(7, "exp(-D0^2/2) y0^m = Laguerre closed form, m <= 9", ok)
 

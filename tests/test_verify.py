@@ -1,19 +1,22 @@
 """The Gram checks of the prop1 and prop2 suites: the block-diagonal integer
 route against the route that pairs every element with every other, the
 suites against the routes they replaced, and the dual vectors they keep
-across kappa_prime."""
+across kappa_prime; the identities and spectrum suites against the series
+routes they replaced."""
 
 from fractions import Fraction
 
 import pytest
 
-from jack4 import combin, ops, verify
+from conftest import PARAM_PAIRS
+from jack4 import combin, hermite_cs, ops, verify
 from jack4.basis4 import BasisLabel, basis_norm, basis_poly
 from jack4.exact import format_rational, make_context
 from jack4.jack import nsjp
 from jack4.ops import Dual, pairing_extended
 from jack4.poly import SparsePoly, Y4, embed_y3
-from oracles import gram_by_every_pair, prop1_by_polys, prop2_in_y4
+from oracles import (gram_by_every_pair, identities_by_sandwich, prop1_by_polys, prop2_in_y4,
+                     spectrum_in_y4)
 
 PARAMS = ((Fraction(1, 2), Fraction(2)), (Fraction(5, 7), Fraction(1, 3)))
 DEGREE = 4
@@ -106,6 +109,20 @@ def test_suites_match_the_routes_they_replaced(suite, kappa, kappa_prime):
     for degree in (0, 3, 5):
         assert (verify.run_suite(suite, ctx, degree).to_json()
                 == OLD_ROUTES[suite](ctx, degree).to_json())
+
+
+@pytest.mark.parametrize("kappa, kappa_prime", PARAM_PAIRS + ((2, 0),),
+                         ids=lambda v: format_rational(Fraction(v)))
+def test_identities_and_spectrum_match_the_series_routes(kappa, kappa_prime):
+    """The identities by the Hadamard lemma give the names, counts and
+    failing labels of the series sandwich, and the spectrum on the A1 x D3
+    factors gives the report of the y4 products, at every degree <= 6."""
+    ctx = make_context(kappa, kappa_prime, 3)
+    for degree in range(7):
+        assert ([(r.name, r.checked, r.failures)
+                 for r in hermite_cs.operator_identities_check(ctx, degree)]
+                == [(r.name, r.checked, r.failures) for r in identities_by_sandwich(ctx, degree)])
+        assert verify.suite_spectrum(ctx, degree).to_json() == spectrum_in_y4(ctx, degree).to_json()
 
 
 @pytest.mark.parametrize("suite", ("prop1", "prop2"))
