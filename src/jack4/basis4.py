@@ -130,7 +130,8 @@ class InvariantRecord(NamedTuple):
     ``formula_norm`` is the closed-form candidate
     2^{2|lambda|} (2 kappa + 1/2)_{lambda + s(1,1,1)} A_lambda; for s = 1 the
     exact ``pairing_norm`` is computed independently and the two may differ
-    by a power of two (the verification suite adjudicates).
+    by a power of two (the verification suite adjudicates).  Callers that
+    need only the polynomial use :func:`invariant_poly`, which pairs nothing.
     """
 
     lam: tuple[int, int, int]
@@ -142,21 +143,32 @@ class InvariantRecord(NamedTuple):
 
 
 def invariant_F(lam, s: int, ctx: ParamContext) -> InvariantRecord:
-    """F^0_lambda = j_lambda(y^2) or F^1_lambda = y_1 y_2 y_3 j_lambda(y^2); free
-    of kappa_prime, so memoized per (lambda, s, kappa) like :func:`gamma_norm`."""
+    """F^s_lambda with both of its norms; free of kappa_prime, so memoized per
+    (lambda, s, kappa) like :func:`gamma_norm`."""
+    return _memo("invariant_F", Y3, 3, ctx, _invariant_record)[_invariant_key(lam, s)]
+
+
+def _invariant_key(lam, s: int) -> tuple:
+    """(lambda, s) as parts; lambda must have three parts and s be 0 or 1."""
     lam = combin.as_parts(lam)
     if len(lam) != 3:
         raise ValueError("lambda must have three parts")
     if s not in (0, 1):
         raise ValueError("s must be 0 or 1")
-    return _memo("invariant_F", Y3, 3, ctx, _invariant_record)[lam, s]
+    return lam, s
+
+
+def invariant_poly(lam, s: int, ctx: ParamContext) -> SparsePoly:
+    """F^0_lambda = j_lambda(y^2) or F^1_lambda = y_1 y_2 y_3 j_lambda(y^2) in
+    the y3 frame, without the norms of :func:`invariant_F`."""
+    lam, s = _invariant_key(lam, s)
+    f = substitute_squares(symmetric_jack(lam, ctx))
+    return SparsePoly.monomial((1, 1, 1), Y3) * f if s else f
 
 
 def _invariant_record(records, key) -> InvariantRecord:
     (lam, s), ctx = key, records.ctx
-    f = substitute_squares(symmetric_jack(lam, ctx))
-    if s:
-        f = SparsePoly.monomial((1, 1, 1), Y3) * f
+    f = invariant_poly(lam, s, ctx)
     a_lambda = jack_norm(lam, ctx)
     shifted = tuple(p + s for p in lam)
     formula = (

@@ -133,16 +133,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, csv_rows: tuple[list[str], list[list[str]]]) -> None:
+def _emit(args, payload: dict, csv_rows) -> None:
+    """Print payload as indented JSON, or with --format csv the header and
+    rows that ``csv_rows()`` returns; a JSON request never builds the rows."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     else:
-        header, rows = csv_rows
+        header, rows = csv_rows()
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
         sys.stdout.write(buf.getvalue())
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` without the pure-Python encoder that
+    ``indent`` selects: dicts with str keys, lists, tuples, str and int are
+    written here, and every other scalar is handed to ``json.dumps``."""
+    quote = json.encoder.encode_basestring_ascii
+    if isinstance(value, str):
+        return quote(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, ends = [f"{quote(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, ends = [_json(v, inner) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 def _poly_csv_rows(f) -> tuple[list[str], list[list[str]]]:
@@ -169,7 +192,7 @@ def _cmd_nsjp(args) -> int:
         "norm": format_rational(rec.norm),
         "eval_ones": format_rational(nsjp_eval_ones(alpha, ctx)),
     }
-    _emit(args, payload, _poly_csv_rows(rec.poly))
+    _emit(args, payload, lambda: _poly_csv_rows(rec.poly))
     return 0
 
 
@@ -203,7 +226,7 @@ def _cmd_basis(args) -> int:
             "formula_norm": format_rational(rec.formula_norm),
             "pairing_norm": format_rational(rec.pairing_norm),
         }
-        _emit(args, payload, _poly_csv_rows(rec.poly))
+        _emit(args, payload, lambda: _poly_csv_rows(rec.poly))
         return 0
     if len(args.gamma) != 3 or n < 0:
         raise ValueError("--gamma needs three parts and --n must be nonnegative")
@@ -223,7 +246,7 @@ def _cmd_basis(args) -> int:
         "poly": poly_to_json(f),
         "norm": format_rational(basis_norm(label, ctx)),
     }
-    _emit(args, payload, _poly_csv_rows(f))
+    _emit(args, payload, lambda: _poly_csv_rows(f))
     return 0
 
 
@@ -240,7 +263,7 @@ def _cmd_hermite(args) -> int:
             "poly": poly_to_json(f),
             "energy": format_rational(cs_invariant_energy(args.lam, s, n, ctx)),
         }
-        _emit(args, payload, _poly_csv_rows(f))
+        _emit(args, payload, lambda: _poly_csv_rows(f))
         return 0
     if len(args.gamma) != 3 or n < 0:
         raise ValueError("--gamma needs three parts and --n must be nonnegative")
@@ -252,7 +275,7 @@ def _cmd_hermite(args) -> int:
         "poly": poly_to_json(rec.poly),
         "energy": format_rational(rec.energy),
     }
-    _emit(args, payload, _poly_csv_rows(rec.poly))
+    _emit(args, payload, lambda: _poly_csv_rows(rec.poly))
     return 0
 
 
@@ -269,12 +292,11 @@ def _label_table(args, column: str, value) -> int:
         for label in verify.basis_labels_up_to(args.max_degree)
     ]
     payload = {**verify._params(ctx), "rows": rows}
-    csv_rows = (
+    _emit(args, payload, lambda: (
         ["gamma", "n", "degree", column],
         [[",".join(str(g) for g in r["gamma"]), str(r["n"]), str(r["degree"]), r[column]]
          for r in rows],
-    )
-    _emit(args, payload, csv_rows)
+    ))
     return 0
 
 
@@ -290,14 +312,13 @@ def _cmd_verify(args) -> int:
     ctx = _make_ctx4(args)
     report = verify.run_suite(args.suite, ctx, args.max_degree)
     payload = report.to_json()
-    csv_rows = (
+    _emit(args, payload, lambda: (
         ["suite", "kappa", "kappa_prime", "max_degree", "checked", "failures",
          "first_counterexample", "ok"],
         [[report.suite, payload["params"]["kappa"], payload["params"]["kappa_prime"],
           str(report.max_degree), str(report.checked), str(report.failures),
           report.first_counterexample or "", str(report.ok).lower()]],
-    )
-    _emit(args, payload, csv_rows)
+    ))
     return 0 if report.ok else 1
 
 
@@ -371,13 +392,12 @@ def _cmd_mc_check(args) -> int:
         ok = ok and abs(est - float(exact)) <= tol
 
     payload = {"normalization": normalization, "checks": checks, "ok": ok}
-    csv_rows = (
+    _emit(args, payload, lambda: (
         ["integrand", "kappa", "kappa_prime", "samples", "seed", "estimate", "stderr", "exact"],
         [[c["integrand"], repr(c["kappa"]), repr(c["kappa_prime"]), str(c["samples"]),
           str(c["seed"]), repr(c["estimate"]), repr(c["stderr"]), c["exact"] or ""]
          for c in checks],
-    )
-    _emit(args, payload, csv_rows)
+    ))
     return 0 if ok else 1
 
 

@@ -23,7 +23,7 @@ from math import factorial
 from typing import NamedTuple
 
 from . import combin
-from .basis4 import BasisLabel, basis_poly, invariant_F
+from .basis4 import BasisLabel, basis_poly, invariant_poly
 from .exact import ParamContext, Rat, as_rational
 from .ops import cherednik_b, d0_squared, dunkl_d0, euler, laplacian, laplacian_b
 from .poly import SparsePoly, Y0, Y3, Y4, embed_y0, embed_y3
@@ -112,10 +112,11 @@ def conjugated_hamiltonian(f: SparsePoly, ctx: ParamContext) -> SparsePoly:
 
 def cs_invariant_eigenfunction(lam, s: int, n: int, ctx: ParamContext) -> SparsePoly:
     """Fully symmetric eigenfunction exp(-Delta_B/2)(F^s_lambda) * L_n^{kappa'-1/2}(y_0^2/2),
-    with energy 2|lambda| + 3s + 2n + 6 kappa + kappa' + 2."""
+    with energy 2|lambda| + 3s + 2n + 6 kappa + kappa' + 2.  F^s_lambda comes from
+    :func:`jack4.basis4.invariant_poly`, so no norm of it is paired or formed."""
     if n < 0:
         raise ValueError("Laguerre index must be nonnegative")
-    fpart = exp_half_laplacian("B", invariant_F(lam, s, ctx).poly, ctx)
+    fpart = exp_half_laplacian("B", invariant_poly(lam, s, ctx), ctx)
     lag = laguerre_y0sq(n, ctx.kappa_prime - Fraction(1, 2))
     return embed_y3(fpart) * embed_y0(lag)
 

@@ -11,8 +11,11 @@ Math. 128, 1997), each step from one parent (0-based positions):
   exponents and one shift, with no arithmetic;
 - transposition: otherwise, with i the last position where alpha_i > 0 and
   beta = s_i alpha, zeta_alpha = s_i zeta_beta - kappa / (xi_i(beta) -
-  xi_{i+1}(beta)) zeta_beta.  As beta_i < beta_{i+1}, both terms of the
-  denominator are negative for kappa > 0.
+  xi_{i+1}(beta)) zeta_beta.  The divisor is read from the ranks r of beta:
+  xi_i(beta) - xi_{i+1}(beta) = (r_{i+1} - r_i) kappa + beta_i - beta_{i+1},
+  so at kappa = p/q the scale is the integer ratio
+  -p / ((r_{i+1} - r_i) p + (beta_i - beta_{i+1}) q).  As beta_i < beta_{i+1},
+  both terms of the divisor are negative for kappa > 0.
 
 No eigen-equation is used to build zeta_alpha, so the eigen suite of
 :mod:`jack4.verify` checks all N of them independently.
@@ -20,26 +23,46 @@ No eigen-equation is used to build zeta_alpha, so the eigen suite of
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import combin
 from .exact import ParamContext, Rat
 from .ops import _memo
 from .poly import SparsePoly, _accumulate, x_frame
 
 
-class NsjpRecord(NamedTuple):
-    """One nonsymmetric Jack polynomial with its spectral data."""
+class NsjpRecord:
+    """One nonsymmetric Jack polynomial.  Its spectral vector and norm are
+    closed forms in the label and kappa, computed on first read, so the
+    Yang-Baxter ancestors that only lend their polynomial build neither."""
 
-    label: tuple[int, ...]
-    poly: SparsePoly
-    spectral: tuple[Rat, ...]
-    norm: Rat
+    __slots__ = ("label", "poly", "kappa", "_spectral", "_norm")
+
+    def __init__(self, label: tuple[int, ...], poly: SparsePoly, kappa: Rat):
+        self.label, self.poly, self.kappa = label, poly, kappa
+        self._spectral = self._norm = None
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NsjpRecord) and (
+            (self.label, self.poly, self.kappa) == (other.label, other.poly, other.kappa))
+
+    @property
+    def spectral(self) -> tuple[Rat, ...]:
+        if self._spectral is None:
+            self._spectral = combin.spectral_vector(self.label, self._ctx())
+        return self._spectral
+
+    @property
+    def norm(self) -> Rat:
+        if self._norm is None:
+            self._norm = nsjp_norm(self.label, self._ctx())
+        return self._norm
+
+    def _ctx(self) -> ParamContext:
+        return ParamContext(self.kappa, Rat(0), len(self.label))
 
 
 def nsjp(alpha, ctx: ParamContext) -> NsjpRecord:
-    """zeta_alpha with its spectral vector and norm, from the "nsjp" memo
-    entry per (alpha, kappa)."""
+    """The record of zeta_alpha from the "nsjp" memo entry per (alpha, kappa);
+    its spectral vector and norm are computed when read."""
     alpha = combin.as_parts(alpha)
     if len(alpha) != ctx.nvars_a:
         raise ValueError(f"composition length {len(alpha)} != context nvars {ctx.nvars_a}")
@@ -57,22 +80,30 @@ def _yang_baxter_step(records, alpha) -> NsjpRecord:
         terms = {e[1:] + (e[0] + 1,): c for e, c in parent.poly.terms.items()}
     elif any(alpha):
         i = max(p for p, a in enumerate(alpha) if a)
-        parent = records[alpha[:i] + (0, alpha[i]) + alpha[i + 2:]]
-        scale = -ctx.kappa / (parent.spectral[i] - parent.spectral[i + 1])
+        beta = alpha[:i] + (0, alpha[i]) + alpha[i + 2:]
+        parent = records[beta]
+        scale = _transposition_scale(beta, i, ctx)
         terms = {e: scale * c for e, c in parent.poly.terms.items()}
         for e, c in parent.poly.terms.items():
             _accumulate(terms, e[:i] + (e[i + 1], e[i]) + e[i + 2:], c)
     else:
         terms = {alpha: Rat(1)}
     poly = SparsePoly._of(len(alpha), records.frame, terms)
-    return NsjpRecord(alpha, poly, combin.spectral_vector(alpha, ctx), nsjp_norm(alpha, ctx))
+    return NsjpRecord(alpha, poly, ctx.kappa)
+
+
+def _transposition_scale(beta, i: int, ctx: ParamContext) -> Rat:
+    """-kappa / (xi_i(beta) - xi_{i+1}(beta)) from the ranks of beta, in integers."""
+    r = combin.ranks(beta)
+    p, q = ctx.kappa.as_integer_ratio()
+    return Rat(-p, (r[i + 1] - r[i]) * p + (beta[i] - beta[i + 1]) * q)
 
 
 def nsjp_norm(alpha, ctx: ParamContext) -> Rat:
     """<zeta_alpha, zeta_alpha>_kappa = (N kappa + 1)_{alpha+} h(alpha, 1) / h(alpha, kappa + 1).
 
-    One integer product of the closed forms of :mod:`jack4.combin`.
-    :func:`nsjp` computes it once per record, as ``NsjpRecord.norm``."""
+    One integer product of the closed forms of :mod:`jack4.combin`, also
+    read as ``NsjpRecord.norm``; the Yang-Baxter construction never needs it."""
     top, low, lower = _norm_factors(alpha, ctx)
     return combin.ratio(top, low, lower[::-1])
 

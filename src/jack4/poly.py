@@ -476,5 +476,18 @@ def poly_to_json(f: SparsePoly) -> dict:
 
 
 def poly_from_json(data: dict) -> SparsePoly:
-    terms = {tuple(t["exp"]): parse_rational(t["coef"]) for t in data["terms"]}
-    return SparsePoly(int(data["nvars"]), data["frame"], terms)
+    """The polynomial of :func:`poly_to_json`'s form.  An ``nvars`` that is not
+    an int, a ``coef`` that is not an exact string and an ``exp`` given twice
+    raise ValueError rather than being truncated, dropped or crashed on."""
+    nvars = data["nvars"]
+    if type(nvars) is not int:
+        raise ValueError(f"nvars must be an int, got {nvars!r}")
+    terms = {}
+    for t in data["terms"]:
+        exp, coef = tuple(t["exp"]), t["coef"]
+        if not isinstance(coef, str):
+            raise ValueError(f"coef must be an exact string such as \"1/2\", got {coef!r}")
+        if exp in terms:
+            raise ValueError(f"exp {list(exp)} appears in more than one term")
+        terms[exp] = parse_rational(coef)
+    return SparsePoly(nvars, data["frame"], terms)

@@ -89,10 +89,11 @@ def suite_eigen(ctx: ParamContext, max_degree: int) -> SuiteReport:
     rep = SuiteReport("eigen", _params(ctx), max_degree)
     for alpha in combin.compositions_up_to(max_degree, ctx.nvars_a):
         rec = nsjp(alpha, ctx)
+        xi = rec.spectral
         for i in range(1, ctx.nvars_a + 1):
             lhs = cherednik_a(i, rec.poly, ctx)
             rep.record(
-                lhs == rec.spectral[i - 1] * rec.poly,
+                lhs == xi[i - 1] * rec.poly,
                 lambda a=alpha, i=i: f"U_{i} zeta_{a} is not an eigenfunction",
             )
     return rep

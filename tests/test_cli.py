@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jack4 import cli
+from jack4 import cli, ops
 from jack4.cli import main
 
 
@@ -260,7 +262,7 @@ def test_cold_start_loads_numpy_only_for_monte_carlo(capsys):
 def test_cold_start_imports_no_dataclasses():
     """Importing the CLI and the suites loads neither ``dataclasses`` nor
     ``inspect``, which only ``dataclasses`` pulls in: the records are named
-    tuples and the reports plain classes."""
+    tuples or slotted classes and the reports plain classes."""
     script = ("import json, sys; before = set(sys.modules); import jack4.cli, jack4.verify; "
               "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -383,6 +385,18 @@ GOLDEN_STDOUT = {
         "7bc6b9ede8f6a05876e9e1f81ef03b12f42010e986e89ce19cb873f7aedcbec3",
     ("mc-check", "--kappa", "1/2", "--kappa-prime", "2", "--samples", "68928"):
         "98e3606b684aa3bfe97abc37f64dee8d4056f39e552a2ece71565b85a52da714",
+    # F^s_lambda without its norms, the CSV rows built only for --format csv,
+    # and a kappa = p/q with q > 1 at N = 4 for the integer Yang-Baxter divisor
+    ("hermite", "--lambda", "2,1,0", "--s", "1", "--n", "1", "--kappa", "1/2",
+     "--kappa-prime", "2"):
+        "ea31ba6d2562b8d2687b36640f8fcd5311c6b1e9fad8feb3bc344fe6b76aed40",
+    ("hermite", "--lambda", "2,1,0", "--s", "1", "--n", "1", "--kappa", "1/2",
+     "--kappa-prime", "2", "--format", "csv"):
+        "f816f1ba1eb6c6278cbc144d3bb3de398e5ed4cddf5dc4911329018cbca48030",
+    ("basis", "--gamma", "3,1,2", "--n", "1", "--kappa", "3/7", "--kappa-prime", "2"):
+        "3de1ddc9ceee5469f07bafc6fc19c39cf003927372cff1f87cbd35d7e14c50dc",
+    ("nsjp", "--alpha", "0,0,2,5", "--kappa", "5/7"):
+        "2626046fa1cca1f786138b436a97463ed42297e95d2e9ee9c1e73b468b98aaaa",
 }
 # Exit codes other than 0 of the pinned commands.  The weights of the
 # Gaussian draw are heavy-tailed, at kappa = 3 and at these sample counts the
@@ -465,3 +479,51 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     assert all(after[key] is before[key] for key in before)
     assert {("jack4.cli", "main"), ("jack4.jack", "nsjp"), ("SparsePoly", "__init__"),
             ("Fraction", "__add__")} <= changed
+
+
+_SCALARS = (st.text() | st.integers() | st.sampled_from((10**40, -(10**40)))
+            | st.floats(allow_nan=True, allow_infinity=True) | st.booleans() | st.none())
+_VALUES = st.recursive(_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20)
+
+
+@given(_VALUES)
+@example({'a"b\\c\n\x00\u00e9\U0001f600': [[], {}, (), (1, -0.0)],
+          "": {"x": [1e300, float("nan"), float("inf"), -float("inf"), True, None]}})
+@settings(max_examples=200, deadline=None)
+def test_json_writer_matches_json_dumps(value):
+    """The direct writer of _emit gives the bytes of json.dumps(v, indent=2)."""
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_requests_build_no_csv_rows(capsys, monkeypatch):
+    """A --format json request never builds the CSV rows; --format csv builds them once."""
+    calls = []
+    rows = cli._poly_csv_rows
+    monkeypatch.setattr(cli, "_poly_csv_rows", lambda f: calls.append(f) or rows(f))
+    requests = [("nsjp", "--alpha", "0,1,1"), ("basis", "--gamma", "1,0,1", "--n", "1"),
+                ("basis", "--lambda", "1,0,0"), ("hermite", "--gamma", "1,0,1", "--n", "1"),
+                ("hermite", "--lambda", "1,0,0", "--n", "1")]
+    for argv in requests:
+        assert run(capsys, *argv)[0] == 0
+    assert calls == []
+    for i, argv in enumerate(requests, 1):
+        assert run(capsys, *argv, "--format", "csv")[0] == 0
+        assert len(calls) == i
+
+
+def test_invariant_eigenfunction_request_pairs_nothing(capsys, monkeypatch):
+    """hermite --lambda builds F^s_lambda without its norms: from a cold memo
+    it makes no pairing_kappa call, while basis --lambda pairs F with itself."""
+    calls = []
+    pairing = ops.pairing_kappa
+    for name, module in list(sys.modules.items()):
+        if name.startswith("jack4.") and getattr(module, "pairing_kappa", None) is pairing:
+            monkeypatch.setattr(module, "pairing_kappa",
+                                lambda *args: calls.append(args) or pairing(*args))
+    ops._MEMO_CACHE.clear()
+    assert run(capsys, "hermite", "--lambda", "2,1,0", "--s", "1", "--n", "1")[0] == 0
+    assert calls == []
+    assert run(capsys, "basis", "--lambda", "2,1,0", "--s", "1")[0] == 0
+    assert len(calls) == 1

@@ -16,6 +16,7 @@ from jack4.jack import (
 )
 from jack4.ops import cherednik_a, pairing_kappa
 from jack4.poly import SparsePoly, x_frame
+import oracles
 from oracles import dominates, triangular_nsjp
 
 # The conftest kappa grid.
@@ -161,6 +162,48 @@ def test_yang_baxter_steps_do_not_call_nsjp_again(monkeypatch):
     record = jack.nsjp((0, 0, 3), make_context(Fraction(1, 2), 0, 3))
     assert calls == [(0, 0, 3)]
     assert record.poly.terms[0, 0, 3] == 1 and len(record.poly.terms) > 1
+
+
+@pytest.mark.parametrize("nvars", (3, 4))
+@pytest.mark.parametrize("kappa", KAPPAS, ids=str)
+def test_yang_baxter_divisor_from_ranks_matches_the_spectral_vectors(nvars, kappa):
+    """Every transposition step with |alpha| <= 6 takes its scale from the
+    ranks of the parent beta in integers.  It equals -kappa over
+    xi_i(beta) - xi_{i+1}(beta) read from the spectral vector, the route it
+    replaced, and every record reads spectral and norm as the closed forms."""
+    ctx = make_context(kappa, 0, nvars)
+    steps = 0
+    for alpha in combin.compositions_up_to(6, nvars):
+        rec = nsjp(alpha, ctx)
+        assert rec.spectral == combin.spectral_vector(alpha, ctx), alpha
+        assert rec.norm == nsjp_norm(alpha, ctx), alpha
+        if alpha[-1] or not any(alpha):
+            continue
+        i = max(p for p, a in enumerate(alpha) if a)
+        beta = alpha[:i] + (0, alpha[i]) + alpha[i + 2:]
+        xi = combin.spectral_vector(beta, ctx)
+        assert jack._transposition_scale(beta, i, ctx) == -ctx.kappa / (xi[i] - xi[i + 1]), beta
+        steps += 1
+    assert steps == {3: 27, 4: 83}[nvars]  # the compositions of 1..6 in N - 1 parts
+
+
+def test_yang_baxter_steps_build_no_spectral_vector_or_norm(monkeypatch):
+    """A cold zeta_(0,0,3) and its seven ancestors compute no spectral vector
+    and no norm; each is computed when its field is first read, and kept."""
+    ops._MEMO_CACHE.clear()
+    ctx = make_context(Fraction(1, 2), 0, 3)
+    calls = []
+    for owner, name in ((combin, "spectral_vector"), (jack, "nsjp_norm")):
+        def counting(*args, f=getattr(owner, name), name=name):
+            calls.append(name)
+            return f(*args)
+        monkeypatch.setattr(owner, name, counting)
+    record = nsjp((0, 0, 3), ctx)
+    assert calls == []
+    for _ in range(2):
+        assert record.spectral == (ctx.kappa + 1, 1, 2 * ctx.kappa + 4)
+        assert record.norm == oracles.nsjp_norm((0, 0, 3), ctx)
+    assert calls == ["spectral_vector", "nsjp_norm"]
 
 
 def test_nsjp_validation():

@@ -34,6 +34,7 @@ from jack4.poly import (
     substitute_squares,
     to_x,
     to_y,
+    x_frame,
 )
 from oracles import compose_permutations, hadamard_forms, split_y0
 
@@ -389,6 +390,30 @@ def test_json_schema_shape():
 @settings(max_examples=60, deadline=None)
 def test_json_roundtrip(f):
     assert poly_from_json(json.loads(json.dumps(poly_to_json(f)))) == f
+
+
+def _json_of(nvars=3, terms=({"exp": [1, 0, 0], "coef": "1/2"},)):
+    return {"nvars": nvars, "frame": x_frame(len(terms[0]["exp"])), "terms": list(terms)}
+
+
+@pytest.mark.parametrize("nvars, exp", ((3.9, [1, 0, 0]), (True, [1])), ids=("3.9", "True"))
+def test_json_refuses_an_nvars_that_is_not_an_int(nvars, exp):
+    """3.9 was truncated to 3, and True taken as 1."""
+    with pytest.raises(ValueError, match="nvars must be an int"):
+        poly_from_json(_json_of(nvars, [{"exp": exp, "coef": "1/2"}]))
+
+
+def test_json_refuses_an_exponent_given_twice():
+    """1/2 + 1/2 on one exponent read as 1/2: the later term replaced the earlier."""
+    term = {"exp": [1, 0, 0], "coef": "1/2"}
+    with pytest.raises(ValueError, match="exp"):
+        poly_from_json(_json_of(terms=(term, term)))
+
+
+def test_json_refuses_a_float_coefficient():
+    """A float coef crashed with AttributeError instead of a ValueError."""
+    with pytest.raises(ValueError, match="coef"):
+        poly_from_json(_json_of(terms=({"exp": [1, 0, 0], "coef": 0.5},)))
 
 
 def test_repr_readable():

@@ -12,7 +12,7 @@ from conftest import PARAM_PAIRS
 from jack4 import combin, hermite_cs, ops, verify
 from jack4.basis4 import BasisLabel, basis_norm, basis_poly
 from jack4.exact import format_rational, make_context
-from jack4.jack import nsjp
+from jack4.jack import NsjpRecord, nsjp
 from jack4.ops import Dual, pairing_extended
 from jack4.poly import SparsePoly, Y4, embed_y3
 from oracles import (gram_by_every_pair, identities_by_sandwich, prop1_by_polys, prop2_in_y4,
@@ -132,11 +132,9 @@ def test_wrong_norm_fails_alike_on_both_routes(suite, monkeypatch):
     ctx = make_context(Fraction(5, 7), Fraction(1, 3), 3)
     if suite == "prop1":
         norm = nsjp((0, 2, 1), ctx).norm + 1
-
-        def wrong(alpha, ctx):
-            rec = nsjp(alpha, ctx)
-            return rec._replace(norm=norm) if rec.label == (0, 2, 1) else rec
-        monkeypatch.setattr(verify, "nsjp", wrong)
+        right = NsjpRecord.norm
+        monkeypatch.setattr(NsjpRecord, "norm", property(
+            lambda rec: norm if rec.label == (0, 2, 1) else right.fget(rec)))
     else:
         label = BasisLabel((1, 0, 1), 1)
         norm = 2 * basis_norm(label, ctx)
